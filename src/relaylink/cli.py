@@ -6,10 +6,11 @@ Subcommands:
     asep    SCENARIO [--sweep-snr a:b:s] ... symbol-error CSV (quadrature/MC)
     ksweep  SCENARIO --k A..B [--n-equals-k] outage vs number of nodes
 
-Exit codes: 0 success, 1 usage or scenario parse error, 2 solver
-non-convergence, 3 Monte-Carlo self-check failure. The Monte-Carlo seed is
-taken from --seed, else the RELAYLINK_SEED environment variable, else a fixed
-documented default, so published CSVs are reproducible.
+Exit codes: 0 success, 1 usage or scenario parse error, 2 solver failure
+(non-convergence, or quadrature routes that disagree), 3 Monte-Carlo
+self-check failure. The Monte-Carlo seed is taken from --seed, else the
+RELAYLINK_SEED environment variable, else a fixed documented default, so
+published CSVs are reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import analysis
 from .channels import GammaGammaParams
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, QuadratureFailureError
 from .ggfit import fit_alpha_mu, fit_diagnostics
 from .mcsim import DEFAULT_SEED, McConfig, simulate_asep, simulate_outage
 from .scenario import ScenarioError, linear_to_db, load_scenario
@@ -118,6 +120,8 @@ def _parse_snr_sweep(spec: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ScenarioError(f"--sweep-snr values must be numbers: {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ScenarioError(f"--sweep-snr values must be finite: {spec!r}")
     if step <= 0:
         raise ScenarioError("--sweep-snr step must be positive")
     grid = []
@@ -125,6 +129,8 @@ def _parse_snr_sweep(spec: str):
     while value <= stop + 1e-9:
         grid.append(value)
         value = start + len(grid) * step
+    if not grid:
+        raise ScenarioError(f"--sweep-snr grid is empty (START > STOP): {spec!r}")
     return grid
 
 
@@ -210,7 +216,11 @@ def cmd_outage(args) -> int:
         if mc_cfg is not None:
             est = simulate_outage(cfg, mc_cfg)
             mc_val, mc_err = est.value, est.std_error
-            if abs(est.value - exact.value) > 5.0 * max(est.std_error, 1e-300):
+            # the spread implied by the exact value, which unlike the sample's
+            # own is not zero when no trial hits
+            p = exact.value
+            sigma = math.sqrt(p * (1.0 - p) / est.trials)
+            if abs(est.value - p) > 5.0 * max(sigma, 1e-300):
                 tripped = True
         rows.append([db, exact.value, asym, mc_val, mc_err])
         if args.progress:
@@ -233,7 +243,10 @@ def cmd_asep(args) -> int:
     for i, db in enumerate(grid):
         cfg = analysis._configure(sc.system, "mean_snr_db", db) if reconfigure \
             else sc.system
-        quad = analysis.asep(cfg)
+        try:
+            quad = analysis.asep(cfg)
+        except QuadratureFailureError as exc:
+            raise QuadratureFailureError(f"at {db!r} dB: {exc}") from exc
         mc_val = mc_err = None
         if mc_cfg is not None:
             est = simulate_asep(cfg, mc_cfg)
@@ -293,6 +306,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"relaylink {args.command}: non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    except QuadratureFailureError as exc:
+        print(f"relaylink {args.command}: quadrature failure {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .channels import AlphaMuParams, GammaGammaParams, gamma_gamma_moment, gamma_gamma_sample
 from .errors import NonConvergenceError
-from .specfun import reg_lower_inc_gamma
 
 
 @dataclass(frozen=True)

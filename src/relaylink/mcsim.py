@@ -12,12 +12,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincinv
+from scipy.special import erfc, gammainc, gammaincinv
 
 from .analysis import PerfEstimate, SystemConfig
 from .channels import alpha_mu_snr_cdf
 
 DEFAULT_SEED = 20240915
+# relative widening of the alpha-mu inversion gate u <= F(m) in _end_to_end_snr
+_GATE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,32 @@ def simulate_outage(c: SystemConfig, mc: McConfig) -> PerfEstimate:
 def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int):
     """Per-trial end-to-end SNR: the minimum of the N-th best uplink, the two
     alpha-mu hops and the downlink, each drawn by inverse transform from the
-    same fixed-order uniforms as the outage path."""
+    same fixed-order uniforms as the outage path.
+
+    Every transform is monotone in its uniform, so the N-th best uplink is
+    the transform of the N-th largest uplink uniform, and an alpha-mu hop can
+    lower the running minimum m only where u <= F(m). Only those trials are
+    inverted; the result equals the minimum of all four transformed links.
+    """
     sched = c.scheduling
+    k, n = sched.k_total, sched.n_order
     u_up, u_sr, u_dn, u_rs = _draw_uniforms(c, rng, size)
-    g_up_all = -sched.uplink_mean_snr * np.log1p(-u_up)
-    # N-th largest of K is the (K - N)-th entry of the ascending sort
-    g_up = np.sort(g_up_all, axis=1)[:, sched.k_total - sched.n_order]
-    g_sr = _alpha_mu_bulk(c.sr_model, u_sr)
-    g_dn = -sched.downlink_mean_snr * np.log1p(-u_dn)
-    g_rs = _alpha_mu_bulk(c.rs_model, u_rs)
-    return np.minimum(np.minimum(g_up, g_sr), np.minimum(g_dn, g_rs))
+    if n == 1:
+        u_nth = u_up.max(axis=1)
+    elif n == k:
+        u_nth = u_up.min(axis=1)
+    else:
+        # N-th largest of K is the (K - N)-th entry of the ascending order
+        u_nth = np.partition(u_up, k - n, axis=1)[:, k - n]
+    m = np.minimum(-sched.uplink_mean_snr * np.log1p(-u_nth),
+                   -sched.downlink_mean_snr * np.log1p(-u_dn))
+    for p, u in ((c.sr_model, u_sr), (c.rs_model, u_rs)):
+        # the margin exceeds the gammainc/gammaincinv round-trip error, so a
+        # skipped trial's hop SNR is never below m
+        f_m = gammainc(p.mu, p.mu * (m / p.mean_snr) ** (p.alpha / 2.0))
+        hit = np.flatnonzero(u <= f_m * (1.0 + _GATE_MARGIN))
+        m[hit] = np.minimum(m[hit], _alpha_mu_bulk(p, u[hit]))
+    return m
 
 
 def _alpha_mu_bulk(p, u):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 from scipy.stats import ks_2samp
 
 from relaylink import mcsim
@@ -167,6 +168,61 @@ def test_indicator_fast_path_equals_snr_path():
         g = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
         hits += int(np.count_nonzero(g <= c.gamma_th))
     assert fast.value == hits / m.trials
+
+
+def _end_to_end_snr_full(c, rng, size):
+    # oracle: log1p on all K uplink columns, a full sort, and the inverse
+    # transform of both alpha-mu hops on every trial
+    sched = c.scheduling
+    u_up, u_sr, u_dn, u_rs = mcsim._draw_uniforms(c, rng, size)
+    g_up_all = -sched.uplink_mean_snr * np.log1p(-u_up)
+    g_up = np.sort(g_up_all, axis=1)[:, sched.k_total - sched.n_order]
+    g_sr = mcsim._alpha_mu_bulk(c.sr_model, u_sr)
+    g_dn = -sched.downlink_mean_snr * np.log1p(-u_dn)
+    g_rs = mcsim._alpha_mu_bulk(c.rs_model, u_rs)
+    return np.minimum(np.minimum(g_up, g_sr), np.minimum(g_dn, g_rs))
+
+
+SEVERE_B = (0.5803, 2.703)     # fitted severe (b) hop, alpha * mu < 2
+VERY_WEAK = (0.5007, 40.62)    # fitted very-weak hop
+
+
+@pytest.mark.parametrize("k,n,sr,rs,snr_db", [
+    (1, 1, SEVERE_B, SEVERE_B, 0.0),        # K = 1
+    (5, 1, SEVERE_B, SEVERE_B, 60.0),       # N = 1
+    (5, 3, VERY_WEAK, VERY_WEAK, 0.0),      # 1 < N < K
+    (5, 5, VERY_WEAK, VERY_WEAK, 60.0),     # N = K
+    (4, 2, SEVERE_B, VERY_WEAK, 0.0),       # unequal hops
+    (4, 2, VERY_WEAK, SEVERE_B, 60.0),
+    (12, 7, (2.0, 1.0), (0.3, 60.0), 30.0),
+    (3, 2, (8.0, 0.3), (1.68, 1.85), 10.0),
+])
+def test_end_to_end_snr_equals_full_construction(k, n, sr, rs, snr_db):
+    snr = 10.0 ** (snr_db / 10.0)
+    c = SystemConfig(scheduling=SchedulingSpec(k, n, snr, 0.5 * snr),
+                     sr_model=AlphaMuParams(*sr, 2.0 * snr),
+                     rs_model=AlphaMuParams(*rs, snr), gamma_th=1.0)
+    m = McConfig(trials=40_000, seed=31, batch=25_000)  # two blocks
+    assert len(mcsim._blocks(m)) == 2
+    for sid, size in mcsim._blocks(m):
+        fast = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
+        full = _end_to_end_snr_full(c, rng_stream(m.seed, sid), size)
+        assert np.array_equal(fast, full)
+
+
+def test_alpha_mu_gate_never_skips_a_lower_hop():
+    # random draws almost never land next to F(m), so probe the boundary:
+    # the smallest draw the gate skips (Generator.random() returns multiples
+    # of 2**-53) must invert to a hop SNR of at least m
+    ulp = 2.0 ** -53
+    m = np.geomspace(1e-12, 1e9, 4001)
+    for alpha in (0.3, SEVERE_B[0], VERY_WEAK[0], 1.0, 2.0, 8.0):
+        for mu in (0.3, 1.0, SEVERE_B[1], VERY_WEAK[1], 60.0):
+            p = AlphaMuParams(alpha, mu, 3.7)
+            f_m = gammainc(mu, mu * (m / p.mean_snr) ** (alpha / 2.0))
+            u = (np.floor(f_m * (1.0 + mcsim._GATE_MARGIN) / ulp) + 1.0) * ulp
+            inside = u < 1.0
+            assert np.all(mcsim._alpha_mu_bulk(p, u[inside]) >= m[inside])
 
 
 def test_asep_matches_quadrature():

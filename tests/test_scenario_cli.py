@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from relaylink import cli
 from relaylink.analysis import PerfEstimate
+from relaylink.errors import QuadratureFailureError
 from relaylink.mcsim import DEFAULT_SEED
 from relaylink.scenario import (
     Scenario,
@@ -14,6 +16,8 @@ from relaylink.scenario import (
     parse_scenario,
     serialize_scenario,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOOD = """\
 [scheduling]
@@ -155,11 +159,24 @@ def test_cli_outage_csv(scenario_file, tmp_path, capsys):
 
 
 def test_cli_outage_zero_length_sweep(scenario_file, tmp_path):
+    # an empty grid is a usage error, not a header-only CSV
     out = tmp_path / "o.csv"
     code = cli.main(["outage", scenario_file, "--sweep-snr", "10:0:5",
                      "--out", str(out)])
-    assert code == 0
-    assert out.read_text() == "snr_db,outage_exact,outage_asymptotic,outage_mc,mc_stderr\n"
+    assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["10:0:1", "0:nan:1", "0:inf:1", "nan:10:1",
+                                  "-inf:10:1", "0:10:nan", "0:10:inf"])
+def test_cli_sweep_empty_or_nonfinite_rejected(scenario_file, tmp_path, spec):
+    with pytest.raises(ScenarioError):
+        cli._parse_snr_sweep(spec)
+    for command in ("outage", "asep"):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, scenario_file, f"--sweep-snr={spec}",
+                         "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 def test_cli_outage_deterministic_bytes(scenario_file, tmp_path):
@@ -189,6 +206,41 @@ def test_cli_outage_tripwire_exit_3(scenario_file, tmp_path, monkeypatch):
     code = cli.main(["outage", scenario_file, "--sweep-snr", "5:5:1",
                      "--mc", "20000", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_cli_outage_selfcheck_passes_when_no_trial_hits(tmp_path):
+    # exact 1.0e-4 at 40 dB: 0 of 1000 trials is the likeliest outcome
+    # (probability 0.90), and the sample's own standard error is then 0
+    out = tmp_path / "o.csv"
+    code = cli.main(["outage", str(SCENARIOS / "rf_backup_baseline.ini"),
+                     "--sweep-snr", "40:40:1", "--mc", "1000", "--workers", "1",
+                     "--seed", "3", "--out", str(out)])
+    assert code == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert float(row[1]) > 0.0 and float(row[3]) == 0.0 and float(row[4]) == 0.0
+
+
+def test_cli_outage_selfcheck_uses_exact_spread(scenario_file, tmp_path, monkeypatch):
+    # a badly wrong estimate that claims a wide spread of its own still trips
+    def wrong_estimate(c, m):
+        return PerfEstimate(0.5, method="monte_carlo", std_error=1.0,
+                            trials=m.trials)
+    monkeypatch.setattr(cli, "simulate_outage", wrong_estimate)
+    code = cli.main(["outage", scenario_file, "--sweep-snr", "30:30:1",
+                     "--mc", "20000", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+
+
+def test_cli_asep_quadrature_failure_exit_2(scenario_file, tmp_path, monkeypatch, capsys):
+    def failing_asep(c):
+        raise QuadratureFailureError("routes disagree by 5.6e-05")
+    monkeypatch.setattr(cli.analysis, "asep", failing_asep)
+    code = cli.main(["asep", scenario_file, "--sweep-snr", "4:4:1",
+                     "--out", str(tmp_path / "a.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["relaylink asep: quadrature failure at 4.0 dB: "
+                   "routes disagree by 5.6e-05"]
 
 
 def test_cli_asep_csv(scenario_file, tmp_path):

@@ -37,10 +37,10 @@ def test_reg_lower_inc_gamma_closed_forms():
 
 def test_reg_lower_inc_gamma_vs_extended_precision_series():
     # brute-force series in 50-digit arithmetic as an independent oracle
-    mpmath.mp.dps = 50
-    for a, x in [(2.21, 0.7), (0.5, 3.0), (7.3, 11.0), (40.0, 35.0), (1.3695, 0.02)]:
-        oracle = float(mpmath.gammainc(a, 0, x, regularized=True))
-        assert specfun.reg_lower_inc_gamma(a, x) == pytest.approx(oracle, abs=1e-12)
+    with mpmath.workdps(50):
+        for a, x in [(2.21, 0.7), (0.5, 3.0), (7.3, 11.0), (40.0, 35.0), (1.3695, 0.02)]:
+            oracle = float(mpmath.gammainc(a, 0, x, regularized=True))
+            assert specfun.reg_lower_inc_gamma(a, x) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_reg_lower_inc_gamma_properties():
