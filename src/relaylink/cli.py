@@ -24,6 +24,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.special import bdtr, bdtrc, ndtr
 
 from . import analysis
 from .channels import GammaGammaParams
@@ -36,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_SELFCHECK = 3
+
+_SELFCHECK_TAIL = float(ndtr(-5.0))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,6 +200,16 @@ def _sweep_points(args, system):
     return [linear_to_db(system.scheduling.uplink_mean_snr)], False
 
 
+def _outage_selfcheck_fails(p: float, est) -> bool:
+    """Two-sided exact binomial test of the MC hit count against the exact
+    outage p, each tail at the one-sided 5-sigma normal level. Unlike a
+    normal approximation it stays valid when few trials are expected to hit."""
+    hits = round(est.value * est.trials)
+    below = bdtr(hits, est.trials, p)                                # P(X <= hits)
+    above = bdtrc(hits - 1, est.trials, p) if hits > 0 else 1.0      # P(X >= hits)
+    return min(below, above) < _SELFCHECK_TAIL
+
+
 def cmd_outage(args) -> int:
     sc = load_scenario(args.scenario)
     mc_cfg = _mc_config(args, sc.mc)
@@ -216,11 +229,7 @@ def cmd_outage(args) -> int:
         if mc_cfg is not None:
             est = simulate_outage(cfg, mc_cfg)
             mc_val, mc_err = est.value, est.std_error
-            # the spread implied by the exact value, which unlike the sample's
-            # own is not zero when no trial hits
-            p = exact.value
-            sigma = math.sqrt(p * (1.0 - p) / est.trials)
-            if abs(est.value - p) > 5.0 * max(sigma, 1e-300):
+            if _outage_selfcheck_fails(exact.value, est):
                 tripped = True
         rows.append([db, exact.value, asym, mc_val, mc_err])
         if args.progress:

@@ -120,13 +120,10 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int):
     sched = c.scheduling
     k, n = sched.k_total, sched.n_order
     u_up, u_sr, u_dn, u_rs = _draw_uniforms(c, rng, size)
-    if n == 1:
-        u_nth = u_up.max(axis=1)
-    elif n == k:
-        u_nth = u_up.min(axis=1)
-    else:
-        # N-th largest of K is the (K - N)-th entry of the ascending order
-        u_nth = np.partition(u_up, k - n, axis=1)[:, k - n]
+    # N-th largest of K is the (K - N)-th entry of the ascending order; in
+    # place, since np.partition would copy the whole (size, K) block
+    u_up.partition(k - n, axis=1)
+    u_nth = u_up[:, k - n]
     m = np.minimum(-sched.uplink_mean_snr * np.log1p(-u_nth),
                    -sched.downlink_mean_snr * np.log1p(-u_dn))
     for p, u in ((c.sr_model, u_sr), (c.rs_model, u_rs)):

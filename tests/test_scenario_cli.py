@@ -220,6 +220,24 @@ def test_cli_outage_selfcheck_passes_when_no_trial_hits(tmp_path):
     assert float(row[1]) > 0.0 and float(row[3]) == 0.0 and float(row[4]) == 0.0
 
 
+@pytest.mark.parametrize("snr_db,hits,expected", [
+    (45, 1, 0),   # n*p = 0.032: one hit has probability ~3%, a z-test trips on it
+    (40, 2, 0),   # n*p = 0.10: P(X >= 2) = 4.7e-3
+    (40, 4, 0),   # P(X >= 4) = 3.8e-6, above the 5-sigma tail of 2.9e-7
+    (40, 5, 3),   # P(X >= 5) = 7.6e-8, below it
+])
+def test_cli_outage_selfcheck_few_expected_hits(tmp_path, monkeypatch,
+                                                snr_db, hits, expected):
+    def estimate(c, m):
+        return PerfEstimate(hits / m.trials, method="monte_carlo",
+                            std_error=0.0, trials=m.trials)
+    monkeypatch.setattr(cli, "simulate_outage", estimate)
+    code = cli.main(["outage", str(SCENARIOS / "rf_backup_baseline.ini"),
+                     "--sweep-snr", f"{snr_db}:{snr_db}:1", "--mc", "1000",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == expected
+
+
 def test_cli_outage_selfcheck_uses_exact_spread(scenario_file, tmp_path, monkeypatch):
     # a badly wrong estimate that claims a wide spread of its own still trips
     def wrong_estimate(c, m):
