@@ -15,13 +15,7 @@ from .analysis import (
     sweep,
     total_outage,
 )
-from .channels import (
-    AlphaMuParams,
-    FadingModel,
-    GammaGammaParams,
-    LinkBudget,
-    RayleighParams,
-)
+from .channels import AlphaMuParams, GammaGammaParams
 from .errors import NonConvergenceError, QuadratureFailureError
 from .ggfit import (
     FitDiagnostics,
@@ -36,15 +30,15 @@ from .scenario import Scenario, ScenarioError, load_scenario, save_scenario, ser
 from .selection import SchedulingSpec
 
 __all__ = [
-    "AlphaMuParams", "AsymptoticReport", "DEFAULT_SEED", "FadingModel",
-    "FitDiagnostics", "FitOptions", "FitResult", "GammaGammaParams",
-    "LinkBudget", "McConfig", "NonConvergenceError", "PerfEstimate",
-    "QuadratureFailureError", "RayleighParams", "Scenario", "ScenarioError",
-    "SchedulingSpec", "SweepRow", "SystemConfig", "asep", "asymptotic_outage",
-    "classify_asymptotics", "fit_alpha_mu", "fit_diagnostics",
-    "fitted_alpha_mu_snr", "load_scenario", "phase1_outage", "phase2_outage",
-    "rng_stream", "save_scenario", "serialize_scenario", "simulate_asep",
-    "simulate_outage", "sweep", "total_outage",
+    "AlphaMuParams", "AsymptoticReport", "DEFAULT_SEED", "FitDiagnostics",
+    "FitOptions", "FitResult", "GammaGammaParams", "McConfig",
+    "NonConvergenceError", "PerfEstimate", "QuadratureFailureError",
+    "Scenario", "ScenarioError", "SchedulingSpec", "SweepRow", "SystemConfig",
+    "asep", "asymptotic_outage", "classify_asymptotics", "fit_alpha_mu",
+    "fit_diagnostics", "fitted_alpha_mu_snr", "load_scenario",
+    "phase1_outage", "phase2_outage", "rng_stream", "save_scenario",
+    "serialize_scenario", "simulate_asep", "simulate_outage", "sweep",
+    "total_outage",
 ]
 
 __version__ = "0.1.0"

@@ -8,10 +8,13 @@ diversity-order / coding-gain classification.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
-from . import selection, specfun
+from scipy.special import roots_hermite
+
+from . import selection
 from .channels import AlphaMuParams, alpha_mu_snr_cdf
 from .errors import QuadratureFailureError
 from .selection import SchedulingSpec
@@ -71,18 +74,29 @@ class AsymptoticReport:
     dominant: frozenset
 
 
+def _either(f1, f2):
+    """Probability that at least one of two independent events occurs."""
+    return f1 + f2 - f1 * f2
+
+
+def _phase1(c: SystemConfig, gamma):
+    return _either(selection.nth_best_cdf(c.scheduling, gamma),
+                   alpha_mu_snr_cdf(c.sr_model, gamma))
+
+
+def _phase2(c: SystemConfig, gamma):
+    return _either(selection.downlink_cdf(c.scheduling, gamma),
+                   alpha_mu_snr_cdf(c.rs_model, gamma))
+
+
 def phase1_outage(c: SystemConfig) -> float:
     """Outage of the uplink phase: N-th best RF uplink and S->R hop."""
-    f_up = selection.nth_best_cdf(c.scheduling, c.gamma_th)
-    f_sr = alpha_mu_snr_cdf(c.sr_model, c.gamma_th)
-    return f_up + f_sr - f_up * f_sr
+    return _phase1(c, c.gamma_th)
 
 
 def phase2_outage(c: SystemConfig) -> float:
     """Outage of the broadcast phase: R->N* downlink and R->S hop."""
-    f_dn = selection.downlink_cdf(c.scheduling, c.gamma_th)
-    f_rs = alpha_mu_snr_cdf(c.rs_model, c.gamma_th)
-    return f_dn + f_rs - f_dn * f_rs
+    return _phase2(c, c.gamma_th)
 
 
 def total_outage(c: SystemConfig) -> PerfEstimate:
@@ -90,56 +104,32 @@ def total_outage(c: SystemConfig) -> PerfEstimate:
     return PerfEstimate(_total_outage_value(c, c.gamma_th), method="exact")
 
 
-def _total_outage_value(c: SystemConfig, gamma: float) -> float:
-    if gamma <= 0.0:
-        return 0.0  # continuous links: no outage at zero threshold
-    st1 = phase1_outage(dataclasses.replace(c, gamma_th=gamma))
-    st2 = phase2_outage(dataclasses.replace(c, gamma_th=gamma))
-    return st1 + st2 - st1 * st2
+def _total_outage_value(c: SystemConfig, gamma):
+    """End-to-end outage F_tot at threshold gamma, a float or an array."""
+    return _either(_phase1(c, gamma), _phase2(c, gamma))
 
 
-def total_outage_expanded(c: SystemConfig) -> float:
-    """The same probability expanded over the four link CDFs
-    (inclusion-exclusion form of the closed-form expression)."""
-    f1 = selection.nth_best_cdf(c.scheduling, c.gamma_th)
-    f2 = alpha_mu_snr_cdf(c.sr_model, c.gamma_th)
-    f3 = selection.downlink_cdf(c.scheduling, c.gamma_th)
-    f4 = alpha_mu_snr_cdf(c.rs_model, c.gamma_th)
-    fs = (f1, f2, f3, f4)
-    total = math.fsum(fs)
-    total -= math.fsum(fs[i] * fs[j] for i in range(4) for j in range(i + 1, 4))
-    total += math.fsum(fs[i] * fs[j] * fs[k]
-                       for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4))
-    total -= f1 * f2 * f3 * f4
-    return total
+@functools.cache
+def _hermite_rule():
+    return roots_hermite(256)
 
 
-_default_rule = None
-
-
-def _hermite_default():
-    global _default_rule
-    if _default_rule is None:
-        _default_rule = specfun.hermite_rule(256)
-    return _default_rule
-
-
-def asep(c: SystemConfig, rule: specfun.QuadratureRule | None = None) -> PerfEstimate:
+def asep(c: SystemConfig, rule=None) -> PerfEstimate:
     """Average symbol error probability by quadrature of the CDF-based
     integral (a sqrt(b) / 2 sqrt(pi)) * int e^{-b g} F_tot(g) / sqrt(g) dg.
 
     The substitution g = u^2/b maps the integral onto the Gauss-Hermite
-    weight; an adaptive-Simpson evaluation of the raw integral serves as an
-    independent cross-check. When the end-to-end CDF has a fractional power
-    g^(alpha mu / 2) with alpha*mu < 2 the Hermite rule converges only
-    algebraically, so the adaptive value is returned in that regime.
+    weight; rule is the (nodes, weights) pair of scipy.special.roots_hermite,
+    256 nodes by default. An adaptive-Simpson evaluation of the raw integral
+    serves as an independent cross-check. When the end-to-end CDF has a
+    fractional power g^(alpha mu / 2) with alpha*mu < 2 the Hermite rule
+    converges only algebraically, so the adaptive value is returned in that
+    regime.
     """
-    if rule is None:
-        rule = _hermite_default()
+    nodes, weights = _hermite_rule() if rule is None else rule
     a, b = c.mod_a, c.mod_b
     hermite = a / (2.0 * _SQRT_PI) * math.fsum(
-        w * _total_outage_value(c, u * u / b)
-        for u, w in zip(rule.nodes, rule.weights))
+        weights * _total_outage_value(c, nodes * nodes / b))
 
     # adaptive cross-check with the endpoint singularity removed exactly by
     # gamma = t^2:  int e^{-b g} F(g) / sqrt(g) dg = 2 int e^{-b t^2} F(t^2) dt
@@ -147,8 +137,7 @@ def asep(c: SystemConfig, rule: specfun.QuadratureRule | None = None) -> PerfEst
         return math.exp(-b * t * t) * _total_outage_value(c, t * t)
 
     adaptive = (a * math.sqrt(b) / _SQRT_PI
-                * specfun.adaptive_simpson(integrand, 0.0,
-                                           math.sqrt(40.0 / b), tol=1e-10))
+                * _adaptive_simpson(integrand, 0.0, math.sqrt(40.0 / b), tol=1e-10))
 
     smooth = min(c.sr_model.alpha * c.sr_model.mu,
                  c.rs_model.alpha * c.rs_model.mu) >= 2.0
@@ -163,12 +152,47 @@ def asep(c: SystemConfig, rule: specfun.QuadratureRule | None = None) -> PerfEst
     return PerfEstimate(min(max(value, 0.0), 1.0), method="quadrature")
 
 
+def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
+                      max_depth: int = 60) -> float:
+    """Recursive adaptive Simpson integration of f over [a, b]."""
+    fa, fb = f(a), f(b)
+    mid = 0.5 * (a + b)
+    fm = f(mid)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+
+
+def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    return (_simpson_rec(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+            + _simpson_rec(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+
+
 def _require_equal_snrs(c: SystemConfig) -> float:
     snrs = c.all_mean_snrs()
     ref = snrs[0]
     if any(abs(s / ref - 1.0) > 1e-12 for s in snrs):
         raise ValueError(f"asymptotics assume equal mean SNRs, got {snrs}")
     return ref
+
+
+def _hop_term(link: AlphaMuParams):
+    """(order, coefficient) of an alpha-mu hop's high-SNR outage term: with
+    lam = gamma_th / mean_snr, P(mu, mu lam^(alpha/2)) ~ z^mu / Gamma(mu + 1)
+    = mu^(mu-1) / Gamma(mu) * lam^(alpha mu / 2)."""
+    mu = link.mu
+    return link.alpha * mu / 2.0, math.exp((mu - 1.0) * math.log(mu) - math.lgamma(mu))
+
+
+def _ties(order, best):
+    return abs(order - best) <= 1e-9 * max(best, 1.0)
 
 
 def asymptotic_outage(c: SystemConfig) -> PerfEstimate:
@@ -182,8 +206,8 @@ def asymptotic_outage(c: SystemConfig) -> PerfEstimate:
     psi1 = math.comb(k_tot - 1, n - 1) * k_tot / (k_tot - n + 1)
     value = psi1 * lam_gth ** (k_tot - n + 1)
     for link in (c.sr_model, c.rs_model):
-        value += lam_gth ** (link.alpha * link.mu / 2.0) / (
-            link.mu * math.gamma(link.mu))
+        order, coef = _hop_term(link)
+        value += coef * lam_gth ** order
     value += lam_gth
     return PerfEstimate(min(value, 1.0), method="asymptotic")
 
@@ -192,23 +216,26 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
     """Diversity order and per-term coding gains of the high-SNR law
     Gc * SNR^{-Gd}.
 
-    The T2 gain is derived from the asymptotic expression itself (exponent
-    +2/(alpha mu)), so that Gc * SNR^{-Gd} reproduces the T2 term exactly.
+    T2 is the optical term: its order is the smaller alpha*mu/2 of the two
+    hops, and its gain is derived from the asymptotic expression itself, from
+    the hop or hops of that order, so that (Gc * SNR)^{-Gd} reproduces their
+    summed term exactly.
     """
     _require_equal_snrs(c)
     k_tot, n = c.scheduling.k_total, c.scheduling.n_order
-    alpha, mu = c.sr_model.alpha, c.sr_model.mu
+    hops = [_hop_term(link) for link in (c.sr_model, c.rs_model)]
+    t2_order = min(order for order, _ in hops)
+    t2_coef = sum(coef for order, coef in hops if _ties(order, t2_order))
     orders = {
         "T1": float(k_tot - n + 1),
-        "T2": alpha * mu / 2.0,
+        "T2": t2_order,
         "T3": 1.0,
     }
     diversity = min(orders.values())
-    dominant = frozenset(t for t, d in orders.items()
-                         if abs(d - diversity) <= 1e-9 * max(diversity, 1.0))
+    dominant = frozenset(t for t, d in orders.items() if _ties(d, diversity))
     psi1 = math.comb(k_tot - 1, n - 1) * k_tot / (k_tot - n + 1)
     ups1 = psi1 ** (-1.0 / (k_tot - n + 1))
-    ups2 = (2.0 / (mu * math.gamma(mu))) ** (-2.0 / (alpha * mu))
+    ups2 = t2_coef ** (-1.0 / t2_order)
     gains = {
         "T1": ups1 / c.gamma_th,
         "T2": ups2 / c.gamma_th,

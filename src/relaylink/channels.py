@@ -1,9 +1,10 @@
 """Fading-distribution primitives.
 
-PDFs, CDFs, moments and samplers for the Rayleigh and alpha-mu SNR laws, the
-Gamma-Gamma turbulence model, and the link-budget map from transmit power,
-noise and opto-electrical conversion ratios to average SNR.
+PDFs, CDFs and moments of the alpha-mu SNR and envelope laws, and moments and
+sampler of the Gamma-Gamma turbulence model.
 
+The CDFs take a float or an array and apply the same NumPy and SciPy ufuncs
+either way, so a value inside an array gives the bits it gives on its own.
 Densities are evaluated in log space internally so large fading parameters
 and small SNRs do not overflow.
 """
@@ -14,19 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import specfun
-
-
-@dataclass(frozen=True)
-class RayleighParams:
-    """Rayleigh-faded link: exponentially distributed SNR with given mean."""
-
-    mean_snr: float
-
-    def __post_init__(self):
-        if not self.mean_snr > 0:
-            raise ValueError(f"mean_snr must be positive, got {self.mean_snr}")
+from scipy.special import gammainc
 
 
 @dataclass(frozen=True)
@@ -61,109 +50,25 @@ class GammaGammaParams:
             raise ValueError(f"eta, beta must be positive, got ({self.eta}, {self.beta})")
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Power/noise terms mapping to average SNR.
-
-    For optical links the electrical-to-optical (eo_ratio) and
-    optical-to-electrical (oe_ratio) conversion ratios scale the SNR.
-    """
-
-    tx_power: float
-    noise_psd: float
-    eo_ratio: float = 1.0
-    oe_ratio: float = 1.0
-    is_optical: bool = False
-
-    def __post_init__(self):
-        if not (self.tx_power > 0 and self.noise_psd > 0):
-            raise ValueError("tx_power and noise_psd must be positive")
-        if self.is_optical and not (0 < self.eo_ratio <= 1 and 0 < self.oe_ratio <= 1):
-            raise ValueError("conversion ratios must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    """Tagged union over the supported fading laws.
-
-    kind is "rayleigh" or "alpha_mu"; exactly one of the parameter records is
-    set. Named constructors cover the classic special cases of the alpha-mu
-    family (one-sided Gaussian, Rayleigh, Weibull, Nakagami-m, exponential).
-    """
-
-    kind: str
-    rayleigh: RayleighParams | None = None
-    alpha_mu: AlphaMuParams | None = None
-
-    def __post_init__(self):
-        if self.kind == "rayleigh":
-            if self.rayleigh is None or self.alpha_mu is not None:
-                raise ValueError("rayleigh model requires RayleighParams only")
-        elif self.kind == "alpha_mu":
-            if self.alpha_mu is None or self.rayleigh is not None:
-                raise ValueError("alpha_mu model requires AlphaMuParams only")
-        else:
-            raise ValueError(f"unknown fading kind {self.kind!r}")
-
-    @classmethod
-    def from_rayleigh(cls, mean_snr):
-        return cls(kind="rayleigh", rayleigh=RayleighParams(mean_snr))
-
-    @classmethod
-    def from_alpha_mu(cls, alpha, mu, mean_snr):
-        return cls(kind="alpha_mu", alpha_mu=AlphaMuParams(alpha, mu, mean_snr))
-
-    # Named special cases (alpha, mu) of the alpha-mu family.
-    @classmethod
-    def one_sided_gaussian(cls, mean_snr):
-        return cls.from_alpha_mu(2.0, 0.5, mean_snr)
-
-    @classmethod
-    def rayleigh_fading(cls, mean_snr):
-        return cls.from_alpha_mu(2.0, 1.0, mean_snr)
-
-    @classmethod
-    def weibull(cls, mean_snr):
-        return cls.from_alpha_mu(1.75, 1.0, mean_snr)
-
-    @classmethod
-    def nakagami_m(cls, mean_snr):
-        return cls.from_alpha_mu(2.0, 2.0, mean_snr)
-
-    @classmethod
-    def exponential(cls, mean_snr):
-        return cls.from_alpha_mu(1.0, 1.0, mean_snr)
-
-    @property
-    def mean_snr(self):
-        p = self.rayleigh if self.kind == "rayleigh" else self.alpha_mu
-        return p.mean_snr
-
-    def snr_pdf(self, gamma):
-        if self.kind == "rayleigh":
-            return rayleigh_snr_pdf(self.rayleigh, gamma)
-        return alpha_mu_snr_pdf(self.alpha_mu, gamma)
-
-    def snr_cdf(self, gamma):
-        if self.kind == "rayleigh":
-            return rayleigh_snr_cdf(self.rayleigh, gamma)
-        return alpha_mu_snr_cdf(self.alpha_mu, gamma)
-
-
 def _check_nonneg(name, value):
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-def rayleigh_snr_pdf(p: RayleighParams, gamma: float) -> float:
-    """Exponential SNR density (1/g) exp(-gamma/g)."""
-    _check_nonneg("gamma", gamma)
-    return math.exp(-gamma / p.mean_snr) / p.mean_snr
+def _nonneg(name, x):
+    """x itself if it is a number, else x as a float array; either way with
+    no negative value."""
+    if isinstance(x, (int, float)):
+        _check_nonneg(name, x)
+        return x
+    arr = np.asarray(x, dtype=float)
+    _check_nonneg(name, arr.min(initial=0.0))
+    return arr
 
 
-def rayleigh_snr_cdf(p: RayleighParams, gamma: float) -> float:
-    _check_nonneg("gamma", gamma)
-    return -math.expm1(-gamma / p.mean_snr)
+def _result(value, x):
+    """A float for a number x, else the array value."""
+    return value if isinstance(x, np.ndarray) else float(value)
 
 
 def alpha_mu_envelope_pdf(alpha: float, mu: float, omega: float, h: float) -> float:
@@ -182,11 +87,13 @@ def alpha_mu_envelope_pdf(alpha: float, mu: float, omega: float, h: float) -> fl
     return math.exp(log_pdf)
 
 
-def alpha_mu_envelope_cdf(alpha: float, mu: float, omega: float, h: float) -> float:
+def alpha_mu_envelope_cdf(alpha: float, mu: float, omega: float, h):
+    """P(mu, mu * (h/Omega)^alpha) for a float or an array h."""
     if not (alpha > 0 and mu > 0 and omega > 0):
         raise ValueError("alpha, mu, omega must be positive")
-    _check_nonneg("h", h)
-    return specfun.reg_lower_inc_gamma(mu, mu * (h / omega) ** alpha)
+    h = _nonneg("h", h)
+    with np.errstate(over="ignore"):  # an infinite argument gives P = 1
+        return _result(gammainc(mu, mu * np.power(h / omega, alpha)), h)
 
 
 def alpha_mu_snr_pdf(p: AlphaMuParams, gamma: float) -> float:
@@ -204,19 +111,11 @@ def alpha_mu_snr_pdf(p: AlphaMuParams, gamma: float) -> float:
     return math.exp(log_pdf)
 
 
-def alpha_mu_snr_cdf(p: AlphaMuParams, gamma: float) -> float:
-    """P(mu, mu * (gamma/mean_snr)^(alpha/2))."""
-    _check_nonneg("gamma", gamma)
-    z = p.mu * (gamma / p.mean_snr) ** (p.alpha / 2.0)
-    return specfun.reg_lower_inc_gamma(p.mu, z)
-
-
-def alpha_mu_sample(p: AlphaMuParams, u: float) -> float:
-    """Inverse-transform sample: the gamma with alpha_mu_snr_cdf(p, gamma) = u."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    x = specfun.inv_reg_lower_inc_gamma(p.mu, u)
-    return p.mean_snr * (x / p.mu) ** (2.0 / p.alpha)
+def alpha_mu_snr_cdf(p: AlphaMuParams, gamma):
+    """P(mu, mu * (gamma/mean_snr)^(alpha/2)) for a float or an array gamma."""
+    g = _nonneg("gamma", gamma)
+    with np.errstate(over="ignore"):  # an infinite argument gives P = 1
+        return _result(gammainc(p.mu, p.mu * np.power(g / p.mean_snr, p.alpha / 2.0)), g)
 
 
 def gamma_gamma_moment(p: GammaGammaParams, n: int) -> float:
@@ -244,12 +143,3 @@ def gamma_gamma_sample(p: GammaGammaParams, rng: np.random.Generator, size=None)
     x = rng.gamma(p.eta, 1.0 / p.eta, size)
     y = rng.gamma(p.beta, 1.0 / p.beta, size)
     return x * y
-
-
-def link_snr(budget: LinkBudget, channel_gain_sq: float) -> float:
-    """Instantaneous SNR from the link budget and squared channel gain."""
-    _check_nonneg("channel_gain_sq", channel_gain_sq)
-    snr = budget.tx_power / budget.noise_psd * channel_gain_sq
-    if budget.is_optical:
-        snr *= budget.eo_ratio * budget.oe_ratio
-    return snr

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AlphaMuParams, GammaGammaParams, gamma_gamma_moment, gamma_gamma_sample
+from .channels import (
+    AlphaMuParams,
+    GammaGammaParams,
+    alpha_mu_envelope_cdf,
+    gamma_gamma_moment,
+    gamma_gamma_sample,
+)
 from .errors import NonConvergenceError
 
 
@@ -159,7 +165,7 @@ def fit_diagnostics(fit: FitResult, p: GammaGammaParams, draws: int,
         raise ValueError("fit_diagnostics requires a converged fit")
     x = np.sort(gamma_gamma_sample(p, rng, draws))
     omega = 1.0 / fit.rho_bar  # envelope scale in the standard parameterization
-    cdf = _reg_gamma_vec(fit.mu, fit.mu * (x / omega) ** fit.alpha)
+    cdf = alpha_mu_envelope_cdf(fit.alpha, fit.mu, omega, x)
     n = draws
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
@@ -169,11 +175,6 @@ def fit_diagnostics(fit: FitResult, p: GammaGammaParams, draws: int,
     return FitDiagnostics(ks_distance=float(ks),
                           fourth_moment_rel_error=abs(m4_fit / m4_gg - 1.0),
                           draws=draws)
-
-
-def _reg_gamma_vec(a, z):
-    from scipy.special import gammainc  # vectorized; parity with specfun is tested
-    return gammainc(a, z)
 
 
 def fitted_alpha_mu_snr(fit: FitResult, mean_snr: float) -> AlphaMuParams:

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammainc, gammaincinv
+from scipy.special import erfc, gammaincinv
 
 from .analysis import PerfEstimate, SystemConfig
 from .channels import alpha_mu_snr_cdf
@@ -129,14 +129,14 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int):
     for p, u in ((c.sr_model, u_sr), (c.rs_model, u_rs)):
         # the margin exceeds the gammainc/gammaincinv round-trip error, so a
         # skipped trial's hop SNR is never below m
-        f_m = gammainc(p.mu, p.mu * (m / p.mean_snr) ** (p.alpha / 2.0))
+        f_m = alpha_mu_snr_cdf(p, m)
         hit = np.flatnonzero(u <= f_m * (1.0 + _GATE_MARGIN))
         m[hit] = np.minimum(m[hit], _alpha_mu_bulk(p, u[hit]))
     return m
 
 
 def _alpha_mu_bulk(p, u):
-    # vectorized inverse transform; parity with the scalar sampler is tested
+    # inverse transform of alpha_mu_snr_cdf; the round trip is tested
     return p.mean_snr * (gammaincinv(p.mu, u) / p.mu) ** (2.0 / p.alpha)
 
 

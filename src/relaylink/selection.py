@@ -1,12 +1,16 @@
 """Order-statistics layer for opportunistic scheduling among K i.i.d.
-Rayleigh uplinks: best-of-K and generalized N-th best selection."""
+Rayleigh uplinks: best-of-K and generalized N-th best selection.
+
+The CDFs take a float or an array, like those of `channels`."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import betainc
+
+from .channels import _nonneg, _result
 
 
 @dataclass(frozen=True)
@@ -29,59 +33,35 @@ class SchedulingSpec:
             raise ValueError("mean SNRs must be positive")
 
 
-def _check_nonneg(gamma):
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+def _rayleigh_cdf(g, mean_snr):
+    return -np.expm1(-g / mean_snr)
 
 
-def best_select_cdf(s: SchedulingSpec, gamma: float) -> float:
+def best_select_cdf(s: SchedulingSpec, gamma):
     """CDF of the best of K i.i.d. exponential SNRs: (1 - e^{-g/gbar})^K."""
-    _check_nonneg(gamma)
-    return (-math.expm1(-gamma / s.uplink_mean_snr)) ** s.k_total
+    g = _nonneg("gamma", gamma)
+    return _result(np.power(_rayleigh_cdf(g, s.uplink_mean_snr), s.k_total), g)
 
 
-def best_select_cdf_binomial(s: SchedulingSpec, gamma: float) -> float:
-    """Same CDF expanded through the binomial theorem (identity-check route)."""
-    _check_nonneg(gamma)
-    k_tot = s.k_total
-    terms = [
-        math.comb(k_tot - 1, k) * (-1.0) ** k / (k + 1)
-        * -math.expm1(-(k + 1) * gamma / s.uplink_mean_snr)
-        for k in range(k_tot)
-    ]
-    return k_tot * math.fsum(terms)
-
-
-def best_select_pdf(s: SchedulingSpec, gamma: float) -> float:
-    _check_nonneg(gamma)
+def best_select_pdf(s: SchedulingSpec, gamma):
+    g = _nonneg("gamma", gamma)
     gbar = s.uplink_mean_snr
-    f = -math.expm1(-gamma / gbar)
-    return s.k_total * f ** (s.k_total - 1) * math.exp(-gamma / gbar) / gbar
+    f = _rayleigh_cdf(g, gbar)
+    return _result(s.k_total * np.power(f, s.k_total - 1) * np.exp(-g / gbar) / gbar, g)
 
 
-def nth_best_cdf(s: SchedulingSpec, gamma: float) -> float:
+def nth_best_cdf(s: SchedulingSpec, gamma):
     """CDF of the N-th largest of K i.i.d. exponential SNRs.
 
-    Direct alternating binomial sum (compensated) for K <= 12; for larger K
-    the regularized-incomplete-beta order-statistics identity is used to
-    avoid catastrophic cancellation.
+    The N-th largest is <= g iff at least K-N+1 of the K are, so the CDF is
+    the regularized incomplete beta I_F(K-N+1, N) of the per-node CDF F.
     """
-    _check_nonneg(gamma)
+    g = _nonneg("gamma", gamma)
     k_tot, n = s.k_total, s.n_order
-    f = -math.expm1(-gamma / s.uplink_mean_snr)
-    if k_tot > 12:
-        # N-th largest <= g  iff  at least K-N+1 of K are <= g.
-        return betainc(k_tot - n + 1, n, f)
-    terms = [
-        math.comb(k_tot - n, k) * (-1.0) ** k / (k + n)
-        * -math.expm1(-(k + n) * gamma / s.uplink_mean_snr)
-        for k in range(k_tot - n + 1)
-    ]
-    val = k_tot * math.comb(k_tot - 1, n - 1) * math.fsum(terms)
-    return min(max(val, 0.0), 1.0)
+    return _result(betainc(k_tot - n + 1, n, _rayleigh_cdf(g, s.uplink_mean_snr)), g)
 
 
-def downlink_cdf(s: SchedulingSpec, gamma: float) -> float:
+def downlink_cdf(s: SchedulingSpec, gamma):
     """CDF of the relay-to-selected-node Rayleigh downlink."""
-    _check_nonneg(gamma)
-    return -math.expm1(-gamma / s.downlink_mean_snr)
+    g = _nonneg("gamma", gamma)
+    return _result(_rayleigh_cdf(g, s.downlink_mean_snr), g)

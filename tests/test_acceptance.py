@@ -12,9 +12,9 @@ import conftest
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import loggamma
+from oracles import best_select_cdf_binomial, lower_gamma, mellin_barnes_lower_gamma
 
-from relaylink import analysis, cli, specfun
+from relaylink import analysis, cli
 from relaylink.analysis import (
     SystemConfig,
     asep,
@@ -24,12 +24,7 @@ from relaylink.analysis import (
 from relaylink.channels import AlphaMuParams, GammaGammaParams
 from relaylink.ggfit import fit_alpha_mu
 from relaylink.mcsim import McConfig, simulate_asep, simulate_outage
-from relaylink.selection import (
-    SchedulingSpec,
-    best_select_cdf,
-    best_select_cdf_binomial,
-    nth_best_cdf,
-)
+from relaylink.selection import SchedulingSpec, best_select_cdf, nth_best_cdf
 
 
 def _report(num, ok, detail=""):
@@ -320,25 +315,18 @@ def test_criterion_6_figure_level_checks():
 
 # ------------------------------------------------------------ criterion 7
 
-def _mellin_barnes_lower_gamma(mu, z, tmax=200.0, dt=1e-3):
-    c = 0.5 * min(mu, 1.0)
-    t = np.arange(-tmax, tmax + dt / 2, dt)
-    s = c + 1j * t
-    vals = np.exp(loggamma(mu - s) + s * math.log(z)) / s
-    return float((np.trapezoid(vals, dx=dt) / (2.0 * math.pi)).real)
-
-
 def test_criterion_7_identity_suite():
-    """Meijer-G kernel vs Mellin-Barnes contour at 20 points (1e-6); product
-    vs binomial best-selection CDF (1e-12); order-N CDF at N=1 reduces to
-    best selection (1e-12)."""
+    """Meijer-G kernel Gamma(mu) P(mu, z), with P from the library's CDF, vs
+    Mellin-Barnes contour at 20 points (1e-6); product vs binomial
+    best-selection CDF (1e-12); order-N CDF at N=1 reduces to best selection
+    (1e-12)."""
     failures = []
     rng = np.random.default_rng(77)
     for _ in range(20):
         z = float(rng.uniform(0.1, 5.0))
         mu = float(rng.uniform(0.3, 4.0))
-        got = specfun.meijer_g_cdf_kernel(z, mu)
-        oracle = _mellin_barnes_lower_gamma(mu, z)
+        got = lower_gamma(z, mu)
+        oracle = mellin_barnes_lower_gamma(mu, z)
         if abs(got - oracle) > 1e-6:
             failures.append(f"Meijer-G kernel ({z:.3f}, {mu:.3f}): "
                             f"{got:.9f} vs contour {oracle:.9f}")

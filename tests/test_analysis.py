@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import total_outage_expanded
+from scipy.special import roots_hermite
 
-from relaylink import analysis, specfun
+from relaylink import analysis
 from relaylink.analysis import (
     PerfEstimate,
     SystemConfig,
@@ -15,11 +19,17 @@ from relaylink.analysis import (
     phase2_outage,
     sweep,
     total_outage,
-    total_outage_expanded,
 )
-from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
+from relaylink.channels import AlphaMuParams, GammaGammaParams, alpha_mu_snr_cdf
 from relaylink.errors import QuadratureFailureError
+from relaylink.ggfit import fit_alpha_mu
+from relaylink.scenario import load_scenario
 from relaylink.selection import SchedulingSpec, downlink_cdf, nth_best_cdf
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the Gamma-Gamma (eta, beta) rows of acceptance criterion 1
+GG_ROWS = {"very weak": (21.5, 19.8), "weak (a)": (9.70, 8.2), "weak (b)": (8.65, 7.14),
+           "severe (a)": (4.0, 1.84), "severe (b)": (4.34, 1.30)}
 
 
 def config(k=1, n=1, alpha=2.0, mu=1.0, snr=1.0, gamma_th=1.0, a=1.0, b=1.0,
@@ -109,9 +119,9 @@ def test_total_outage_monotone_in_snr_and_threshold():
 def test_asep_degenerate_always_outage_limit():
     # with the CDF pinned at 1 the error integral collapses to the Gaussian
     # integral and the estimate is exactly a/2 under the substitution rule
-    rule = specfun.hermite_rule(64)
+    _, weights = roots_hermite(64)
     a = 1.0
-    val = a / (2.0 * math.sqrt(math.pi)) * math.fsum(rule.weights)
+    val = a / (2.0 * math.sqrt(math.pi)) * math.fsum(weights)
     assert val == pytest.approx(a / 2.0, abs=1e-12)
 
 
@@ -155,8 +165,8 @@ def _adaptive_asep(c):
         return math.exp(-b * t * t) * analysis._total_outage_value(c, t * t)
 
     return (a * math.sqrt(b) / math.sqrt(math.pi)
-            * specfun.adaptive_simpson(integrand, 0.0, math.sqrt(40.0 / b),
-                                       tol=1e-10))
+            * analysis._adaptive_simpson(integrand, 0.0, math.sqrt(40.0 / b),
+                                         tol=1e-10))
 
 
 @pytest.mark.parametrize("c", [
@@ -180,7 +190,7 @@ def test_asep_quadrature_failure_on_inconsistent_rule():
     # silently wrong numbers (smooth config, so disagreement is an error)
     c = config(k=3, n=1, alpha=2.0, mu=2.0, snr=10.0)
     with pytest.raises(QuadratureFailureError):
-        asep(c, rule=specfun.hermite_rule(2))
+        asep(c, rule=roots_hermite(2))
 
 
 # ---------------------------------------------------------- asymptotics
@@ -242,8 +252,9 @@ def test_classify_coding_gains_reproduce_terms():
     t1 = psi1 * lam_gth ** (k_tot - n + 1)
     assert (rep.coding_gain_terms["T1"] * 1e3) ** -(k_tot - n + 1) == pytest.approx(
         t1, rel=1e-12)
-    # T2 gain reproduces the combined term of both optical hops (factor 2)
-    t2 = 2.0 * lam_gth ** 2.0 / (2.0 * math.gamma(2.0))
+    # T2 gain reproduces the combined term of both optical hops (factor 2),
+    # each mu^(mu-1) / Gamma(mu) * lam^(alpha mu / 2)
+    t2 = 2.0 * 2.0 ** 1.0 / math.gamma(2.0) * lam_gth ** 2.0
     assert (rep.coding_gain_terms["T2"] * 1e3) ** -2.0 == pytest.approx(t2, rel=1e-12)
     assert (rep.coding_gain_terms["T3"] * 1e3) ** -1.0 == pytest.approx(
         lam_gth, rel=1e-12)
@@ -251,11 +262,90 @@ def test_classify_coding_gains_reproduce_terms():
 
 def test_asymptotic_generalizes_to_distinct_optical_laws():
     # with different S->R / R->S laws each contributes its own power term
+    # mu^(mu-1) / Gamma(mu) * lam^(alpha mu / 2)
     c = config(k=1, n=1, alpha=2.0, mu=1.0, snr=100.0, alpha2=2.0, mu2=2.0)
     lam = 0.01
-    expect = lam + lam / (1.0 * math.gamma(1.0)) \
-        + lam ** 2.0 / (2.0 * math.gamma(2.0)) + lam
+    expect = lam + 1.0 ** 0.0 / math.gamma(1.0) * lam \
+        + 2.0 ** 1.0 / math.gamma(2.0) * lam ** 2.0 + lam
     assert asymptotic_outage(c).value == pytest.approx(expect, rel=1e-12)
+
+
+def test_asymptotic_keeps_mu_power_factor():
+    # P(mu, z) ~ z^mu / Gamma(mu + 1) with z = mu lam^(alpha/2): dropping the
+    # mu^mu factor leaves the ratio at 1.5^-1.5 = 0.544 for this hop
+    c = config(k=3, n=1, alpha=1.0, mu=1.5, snr=1e12, gamma_th=1.0)
+    ratio = asymptotic_outage(c).value / total_outage(c).value
+    assert ratio == pytest.approx(1.0, abs=0.01)
+
+
+def test_classify_reads_both_hops():
+    # the R->S hop (alpha mu / 2 = 0.25) sets the diversity, not S->R (2)
+    c = config(k=3, n=1, alpha=2.0, mu=2.0, snr=1e3, alpha2=1.0, mu2=0.5)
+    rep = classify_asymptotics(c)
+    assert rep.diversity_order == pytest.approx(0.25)
+    assert rep.dominant == frozenset({"T2"})
+    # the exact outage falls with that slope at high SNR
+    lo, hi = (total_outage(analysis._configure(c, "mean_snr_db", db)).value
+              for db in (80.0, 100.0))
+    assert -math.log10(hi / lo) / 2.0 == pytest.approx(0.25, abs=1e-3)
+    # and the gain reproduces the R->S term alone
+    mu = 0.5
+    t2 = mu ** (mu - 1.0) / math.gamma(mu) * (c.gamma_th / 1e3) ** 0.25
+    assert (rep.coding_gain_terms["T2"] * 1e3) ** -0.25 == pytest.approx(t2, rel=1e-12)
+
+
+# ------------------------------------------------------------ array core
+
+def _fitted_hop(row, mean_snr):
+    fit = fit_alpha_mu(GammaGammaParams(*GG_ROWS[row]))
+    return AlphaMuParams(fit.alpha, fit.mu, mean_snr)
+
+
+def test_array_core_matches_scalar_calls_bit_for_bit():
+    gammas = np.concatenate([[0.0], np.geomspace(1e-9, 1e6, 150)])
+    hops = [_fitted_hop("very weak", 10.0), _fitted_hop("severe (b)", 10.0)]
+    for k in range(1, 17):
+        for n in sorted({1, k}):
+            for hop in hops:
+                c = SystemConfig(scheduling=SchedulingSpec(k, n, 10.0, 10.0),
+                                 sr_model=hop, rs_model=hop, gamma_th=1.0)
+                for fn in (lambda g: nth_best_cdf(c.scheduling, g),
+                           lambda g: downlink_cdf(c.scheduling, g),
+                           lambda g: alpha_mu_snr_cdf(hop, g),
+                           lambda g: analysis._total_outage_value(c, g)):
+                    scalar = [fn(float(g)) for g in gammas]
+                    assert all(type(v) is float for v in scalar)
+                    assert np.array_equal(fn(gammas), np.array(scalar))
+
+
+def _warning_free_curves():
+    for path in sorted(SCENARIOS.glob("*.ini")):
+        yield path.stem, load_scenario(path).system
+    rf_side = load_scenario(SCENARIOS / "rf_backup_baseline.ini").system
+    for row in GG_ROWS:
+        hop = _fitted_hop(row, rf_side.sr_model.mean_snr)
+        yield row, dataclasses.replace(rf_side, sr_model=hop, rs_model=hop)
+
+
+# the fitted-row points where the two ASEP routes disagree on a smooth CDF
+ASEP_RAISES = {("severe (a)", db) for db in range(0, 11, 2)} | {("weak (b)", 0)}
+
+
+def test_core_emits_no_warnings():
+    skipped = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, system in _warning_free_curves():
+            for db in range(0, 41, 2):
+                c = analysis._configure(system, "mean_snr_db", db)
+                total_outage(c)
+                # gamma = 0 and the far tails of every link
+                analysis._total_outage_value(c, np.array([0.0, 5e-324, 1e-300, 1e300]))
+                try:
+                    asep(c)
+                except QuadratureFailureError:
+                    skipped.add((name, db))
+    assert skipped == ASEP_RAISES
 
 
 # ---------------------------------------------------------------- sweep

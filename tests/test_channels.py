@@ -3,51 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from relaylink import channels, specfun
+from relaylink.analysis import _adaptive_simpson
 from relaylink.channels import (
     AlphaMuParams,
-    FadingModel,
     GammaGammaParams,
-    LinkBudget,
-    RayleighParams,
     alpha_mu_envelope_cdf,
     alpha_mu_envelope_pdf,
     alpha_mu_moment,
-    alpha_mu_sample,
     alpha_mu_snr_cdf,
     alpha_mu_snr_pdf,
     gamma_gamma_moment,
     gamma_gamma_sample,
-    link_snr,
-    rayleigh_snr_cdf,
-    rayleigh_snr_pdf,
 )
+from relaylink.mcsim import _alpha_mu_bulk
+from relaylink.selection import SchedulingSpec, downlink_cdf
+
+
+def rayleigh(mean_snr):
+    """Rayleigh fading: the (alpha, mu) = (2, 1) member of the family, whose
+    SNR is exponential with the given mean."""
+    return AlphaMuParams(2.0, 1.0, mean_snr)
 
 
 # ------------------------------------------------------------- Rayleigh
 
 def test_rayleigh_pdf_values():
-    assert rayleigh_snr_pdf(RayleighParams(1.0), 0.0) == pytest.approx(1.0)
-    assert rayleigh_snr_pdf(RayleighParams(2.0), 2.0) == pytest.approx(
-        0.5 * math.exp(-1.0))
-    assert rayleigh_snr_pdf(RayleighParams(1.0), 5.0) == pytest.approx(math.exp(-5.0))
+    assert alpha_mu_snr_pdf(rayleigh(1.0), 0.0) == pytest.approx(1.0)
+    assert alpha_mu_snr_pdf(rayleigh(2.0), 2.0) == pytest.approx(0.5 * math.exp(-1.0))
+    assert alpha_mu_snr_pdf(rayleigh(1.0), 5.0) == pytest.approx(math.exp(-5.0))
 
 
 def test_rayleigh_cdf_values():
-    assert rayleigh_snr_cdf(RayleighParams(1.0), 0.0) == 0.0
-    assert rayleigh_snr_cdf(RayleighParams(1.0), 1.0) == pytest.approx(
-        1.0 - math.exp(-1.0))
-    assert rayleigh_snr_cdf(RayleighParams(4.0), 2.0) == pytest.approx(
-        1.0 - math.exp(-0.5))
+    assert alpha_mu_snr_cdf(rayleigh(1.0), 0.0) == 0.0
+    assert alpha_mu_snr_cdf(rayleigh(1.0), 1.0) == pytest.approx(1.0 - math.exp(-1.0))
+    assert alpha_mu_snr_cdf(rayleigh(4.0), 2.0) == pytest.approx(1.0 - math.exp(-0.5))
 
 
 def test_rayleigh_domain():
     with pytest.raises(ValueError):
-        RayleighParams(0.0)
+        rayleigh(0.0)
     with pytest.raises(ValueError):
-        rayleigh_snr_pdf(RayleighParams(1.0), -1.0)
+        alpha_mu_snr_pdf(rayleigh(1.0), -1.0)
     with pytest.raises(ValueError):
-        rayleigh_snr_cdf(RayleighParams(1.0), -1.0)
+        alpha_mu_snr_cdf(rayleigh(1.0), -1.0)
 
 
 # -------------------------------------------------------- envelope law
@@ -75,7 +73,7 @@ def test_envelope_pdf_one_sided_gaussian_pointwise():
 def _integrate_panels(f, scale, tail):
     # graded panels so the adaptive rule cannot step over a narrow peak
     points = [0.0] + list(scale * np.geomspace(1e-4, tail, 16))
-    return math.fsum(specfun.adaptive_simpson(f, a, b, tol=1e-11)
+    return math.fsum(_adaptive_simpson(f, a, b, tol=1e-11)
                      for a, b in zip(points, points[1:]))
 
 
@@ -93,7 +91,7 @@ def test_envelope_pdf_normalizes(alpha, mu, omega):
 def test_envelope_cdf_matches_pdf_integral():
     args = (1.68, 1.85, 1.1)
     for h in (0.4, 1.0, 1.9):
-        integral = specfun.adaptive_simpson(
+        integral = _adaptive_simpson(
             lambda t: alpha_mu_envelope_pdf(*args, t), 0.0, h, tol=1e-11)
         assert alpha_mu_envelope_cdf(*args, h) == pytest.approx(integral, abs=1e-9)
 
@@ -121,7 +119,7 @@ def test_snr_pdf_normalizes(alpha, mu, gbar):
     head = z0 ** mu / math.gamma(mu + 1.0)
     points = [eps] + list(gbar * np.geomspace(max(1e-4, 2 * eps / gbar), tail, 16))
     mass = head + math.fsum(
-        specfun.adaptive_simpson(lambda g: alpha_mu_snr_pdf(p, g), a, b, tol=1e-11)
+        _adaptive_simpson(lambda g: alpha_mu_snr_pdf(p, g), a, b, tol=1e-11)
         for a, b in zip(points, points[1:]))
     assert mass == pytest.approx(1.0, abs=1e-8)
 
@@ -135,8 +133,7 @@ def test_snr_cdf_closed_forms():
 
 def test_snr_cdf_equals_pdf_integral_weak_a():
     p = AlphaMuParams(1.68, 1.85, 10.0)
-    integral = specfun.adaptive_simpson(lambda g: alpha_mu_snr_pdf(p, g), 0.0, 1.0,
-                                        tol=1e-11)
+    integral = _adaptive_simpson(lambda g: alpha_mu_snr_pdf(p, g), 0.0, 1.0, tol=1e-11)
     assert alpha_mu_snr_cdf(p, 1.0) == pytest.approx(integral, abs=1e-9)
 
 
@@ -181,25 +178,26 @@ def test_table_special_case_reductions():
 
 
 # -------------------------------------------------------------- sampler
+# mcsim's inverse-transform sampler, the inverse of alpha_mu_snr_cdf
 
 def test_sample_closed_forms():
-    p = AlphaMuParams(2.0, 1.0, 1.0)
-    assert alpha_mu_sample(p, 1.0 - math.exp(-1.0)) == pytest.approx(1.0, abs=1e-9)
-    assert alpha_mu_sample(p, 0.5) == pytest.approx(math.log(2.0), abs=1e-9)
+    p = rayleigh(1.0)
+    assert _alpha_mu_bulk(p, 1.0 - math.exp(-1.0)) == pytest.approx(1.0, abs=1e-9)
+    assert _alpha_mu_bulk(p, 0.5) == pytest.approx(math.log(2.0), abs=1e-9)
 
 
 def test_sample_round_trip_grid():
     p = AlphaMuParams(1.68, 1.85, 10.0)
-    for u in np.linspace(1e-4, 1.0 - 1e-4, 1000):
-        g = alpha_mu_sample(p, float(u))
-        assert alpha_mu_snr_cdf(p, g) == pytest.approx(float(u), abs=1e-9)
+    us = np.linspace(1e-4, 1.0 - 1e-4, 1000)
+    assert alpha_mu_snr_cdf(p, _alpha_mu_bulk(p, us)) == pytest.approx(us, abs=1e-9)
 
 
 def test_sample_domain():
-    p = AlphaMuParams(2.0, 1.0, 1.0)
-    for bad in (0.0, 1.0, -0.2, 1.2):
-        with pytest.raises(ValueError):
-            alpha_mu_sample(p, bad)
+    # the largest uniform a generator returns, 1 - 2^-53, still maps to a
+    # finite SNR; 1 itself is the infinite end of the law
+    p = AlphaMuParams(1.68, 1.85, 10.0)
+    assert math.isfinite(_alpha_mu_bulk(p, 1.0 - 2.0 ** -53))
+    assert _alpha_mu_bulk(p, 1.0) == math.inf
 
 
 # ------------------------------------------------------- Gamma-Gamma
@@ -265,49 +263,38 @@ def test_alpha_mu_moment_values():
         math.sqrt(math.pi) / 2.0, abs=1e-14)
 
 
-# ---------------------------------------------------------- link budget
-
-def test_link_snr():
-    assert link_snr(LinkBudget(1.0, 1.0), 1.0) == pytest.approx(1.0)
-    assert link_snr(LinkBudget(3.0, 0.5), 2.0) == pytest.approx(12.0)
-    assert link_snr(LinkBudget(1.0, 1.0, eo_ratio=0.8, oe_ratio=0.9,
-                               is_optical=True), 1.0) == pytest.approx(0.72)
-
-
-def test_link_budget_domain():
-    with pytest.raises(ValueError):
-        LinkBudget(0.0, 1.0)
-    with pytest.raises(ValueError):
-        LinkBudget(1.0, 1.0, eo_ratio=1.5, is_optical=True)
-
-
-# --------------------------------------------------------- FadingModel
+# --------------------------------------------------------- fading models
 
 def test_fading_model_dispatch():
-    ray = FadingModel.from_rayleigh(2.0)
-    amu = FadingModel.rayleigh_fading(2.0)  # alpha-mu special case (2, 1)
-    for g in (0.1, 1.0, 5.0):
-        assert ray.snr_cdf(g) == pytest.approx(amu.snr_cdf(g), abs=1e-12)
-        assert ray.snr_pdf(g) == pytest.approx(amu.snr_pdf(g), abs=1e-12)
+    # the Rayleigh downlink of the scheduling layer and the (2, 1) alpha-mu
+    # law are the same distribution
+    s = SchedulingSpec(1, 1, 1.0, 2.0)
+    g = np.array([0.0, 0.1, 1.0, 5.0])
+    assert downlink_cdf(s, g) == pytest.approx(alpha_mu_snr_cdf(rayleigh(2.0), g),
+                                               abs=1e-15)
 
 
 def test_fading_model_named_constructors():
+    # named special cases (alpha, mu) of the alpha-mu family against the
+    # closed-form SNR CDF of each, at mean SNR 3
+    gbar = 3.0
+    g = np.linspace(0.01, 20.0, 40)
+    x = g / gbar
     cases = {
-        "one_sided_gaussian": (2.0, 0.5),
-        "rayleigh_fading": (2.0, 1.0),
-        "weibull": (1.75, 1.0),
-        "nakagami_m": (2.0, 2.0),
-        "exponential": (1.0, 1.0),
+        "one-sided Gaussian": ((2.0, 0.5), np.vectorize(math.erf)(np.sqrt(x / 2.0))),
+        "Rayleigh": ((2.0, 1.0), 1.0 - np.exp(-x)),
+        "Weibull": ((1.75, 1.0), 1.0 - np.exp(-x ** 0.875)),
+        "Nakagami-m": ((2.0, 2.0), 1.0 - (1.0 + 2.0 * x) * np.exp(-2.0 * x)),
+        "exponential": ((1.0, 1.0), 1.0 - np.exp(-np.sqrt(x))),
     }
-    for name, (alpha, mu) in cases.items():
-        model = getattr(FadingModel, name)(3.0)
-        assert model.alpha_mu.alpha == alpha
-        assert model.alpha_mu.mu == mu
-        assert model.mean_snr == 3.0
+    for name, ((alpha, mu), expect) in cases.items():
+        got = alpha_mu_snr_cdf(AlphaMuParams(alpha, mu, gbar), g)
+        assert got == pytest.approx(expect, abs=1e-12), name
 
 
 def test_fading_model_invariants():
+    for bad in ((0.0, 1.0, 1.0), (2.0, -1.0, 1.0), (2.0, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            AlphaMuParams(*bad)
     with pytest.raises(ValueError):
-        FadingModel(kind="rayleigh", alpha_mu=AlphaMuParams(2.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        FadingModel(kind="nonsense")
+        GammaGammaParams(0.0, 1.0)

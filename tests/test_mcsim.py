@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 
 from relaylink import mcsim
 from relaylink.analysis import SystemConfig, total_outage
-from relaylink.channels import AlphaMuParams, alpha_mu_sample, alpha_mu_snr_cdf
+from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
 from relaylink.mcsim import McConfig, rng_stream, simulate_asep, simulate_outage
 from relaylink.selection import SchedulingSpec, nth_best_cdf
 
@@ -116,11 +116,13 @@ def test_estimator_unbiased_coverage():
 # ----------------------------------------------------- sampler parity
 
 def test_bulk_alpha_mu_sampler_matches_scalar():
+    # the sampler inverts the CDF, on an array and one value at a time
     p = AlphaMuParams(1.68, 1.85, 10.0)
     us = np.linspace(1e-6, 1.0 - 1e-6, 500)
     bulk = mcsim._alpha_mu_bulk(p, us)
+    assert alpha_mu_snr_cdf(p, bulk) == pytest.approx(us, rel=1e-10)
     for u, g in zip(us, bulk):
-        assert g == pytest.approx(alpha_mu_sample(p, float(u)), rel=1e-10)
+        assert g == pytest.approx(mcsim._alpha_mu_bulk(p, float(u)), rel=1e-12)
 
 
 def test_per_link_marginals_match_cdfs():

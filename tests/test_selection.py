@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import best_select_cdf_binomial, nth_best_alternating_sum
 
 from relaylink.selection import (
     SchedulingSpec,
     best_select_cdf,
-    best_select_cdf_binomial,
     best_select_pdf,
     downlink_cdf,
     nth_best_cdf,
@@ -112,8 +112,8 @@ def test_nth_best_stochastic_ordering():
 
 
 def test_large_k_branch_continuity():
-    # the direct-sum (K <= 12) and beta-identity (K > 12) branches agree with
-    # the binomial-tail oracle where the alternating sum is well conditioned
+    # the incomplete-beta form agrees with the binomial-tail oracle on both
+    # sides of K = 12, where an alternating-sum route would hand over to it
     for g in np.linspace(0.5, 6.0, 30):
         f = 1.0 - math.exp(-g)
         for k, n in [(12, 4), (13, 4)]:
@@ -123,14 +123,25 @@ def test_large_k_branch_continuity():
 
 
 def test_small_probability_absolute_accuracy():
-    # at tiny arguments the K <= 12 alternating sum cancels; absolute error
-    # must still stay near machine noise, and the K > 12 branch is exact
+    # at tiny arguments the alternating sum cancels; the incomplete-beta
+    # form must stay near machine noise in absolute terms
     g = 0.1
     f = 1.0 - math.exp(-g)
     for k, n in [(12, 4), (13, 4)]:
         expect = math.fsum(math.comb(k, j) * f ** j * (1 - f) ** (k - j)
                            for j in range(k - n + 1, k + 1))
         assert nth_best_cdf(spec(k, n), g) == pytest.approx(expect, abs=1e-10)
+
+
+def test_nth_best_matches_alternating_sum():
+    # the compensated alternating binomial sum is an independent closed form;
+    # where it is well conditioned (K <= 12, g >= 0.5) it must agree
+    for k in range(1, 13):
+        for n in range(1, k + 1):
+            s = spec(k, n, up=1.3)
+            for g in np.linspace(0.5, 12.0, 12):
+                assert nth_best_cdf(s, g) == pytest.approx(
+                    nth_best_alternating_sum(s, g), abs=1e-10)
 
 
 # -------------------------------------------------------------- downlink
