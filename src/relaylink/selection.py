@@ -34,6 +34,10 @@ class SchedulingSpec:
 
 
 def _rayleigh_cdf(g, mean_snr):
+    if isinstance(g, np.ndarray):
+        # -expm1(-40) is already 1.0; the cap keeps g / mean_snr from
+        # overflowing, which a float g does silently
+        g = np.minimum(g, 40.0 * mean_snr)
     return -np.expm1(-g / mean_snr)
 
 

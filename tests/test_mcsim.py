@@ -212,19 +212,67 @@ def test_end_to_end_snr_equals_full_construction(k, n, sr, rs, snr_db):
         assert np.array_equal(fast, full)
 
 
+@pytest.mark.parametrize("sr_scale,rs_scale", [(1e-6, 1e6), (1e6, 1e-6)])
+def test_end_to_end_snr_equals_full_construction_at_table_ends(sr_scale, rs_scale):
+    # hop means 1e-6x and 1e6x the Rayleigh means: every m the large-mean
+    # hop meets lies below the first point of its gate table, and nearly
+    # every m the small-mean hop meets lies above the last point of its own
+    snr = 10.0
+    c = SystemConfig(scheduling=SchedulingSpec(4, 2, snr, 0.5 * snr),
+                     sr_model=AlphaMuParams(*VERY_WEAK, sr_scale * snr),
+                     rs_model=AlphaMuParams(*VERY_WEAK, rs_scale * snr), gamma_th=1.0)
+    small, large = sorted((c.sr_model, c.rs_model), key=lambda p: p.mean_snr)
+    # the largest Rayleigh SNR a uniform below 1 gives is 36.7 means
+    assert mcsim._gate_bounds(large, np.array([37.0 * snr]))[0][0] == -1.0
+    assert mcsim._gate_bounds(small, np.array([1e-3 * snr]))[1][0] == 2.0
+    m = McConfig(trials=40_000, seed=31, batch=25_000)
+    for sid, size in mcsim._blocks(m):
+        fast = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
+        full = _end_to_end_snr_full(c, rng_stream(m.seed, sid), size)
+        assert np.array_equal(fast, full)
+
+
+# 30 (alpha, mu) pairs for the alpha-mu gate tests
+GATE_PAIRS = [(alpha, mu)
+              for alpha in (0.3, SEVERE_B[0], VERY_WEAK[0], 1.0, 2.0, 8.0)
+              for mu in (0.3, 1.0, SEVERE_B[1], VERY_WEAK[1], 60.0)]
+
+
 def test_alpha_mu_gate_never_skips_a_lower_hop():
     # random draws almost never land next to F(m), so probe the boundary:
     # the smallest draw the gate skips (Generator.random() returns multiples
     # of 2**-53) must invert to a hop SNR of at least m
     ulp = 2.0 ** -53
     m = np.geomspace(1e-12, 1e9, 4001)
-    for alpha in (0.3, SEVERE_B[0], VERY_WEAK[0], 1.0, 2.0, 8.0):
-        for mu in (0.3, 1.0, SEVERE_B[1], VERY_WEAK[1], 60.0):
-            p = AlphaMuParams(alpha, mu, 3.7)
-            f_m = gammainc(mu, mu * (m / p.mean_snr) ** (alpha / 2.0))
-            u = (np.floor(f_m * (1.0 + mcsim._GATE_MARGIN) / ulp) + 1.0) * ulp
-            inside = u < 1.0
-            assert np.all(mcsim._alpha_mu_bulk(p, u[inside]) >= m[inside])
+    for alpha, mu in GATE_PAIRS:
+        p = AlphaMuParams(alpha, mu, 3.7)
+        f_m = gammainc(mu, mu * (m / p.mean_snr) ** (alpha / 2.0))
+        u = (np.floor(f_m * (1.0 + mcsim._GATE_MARGIN) / ulp) + 1.0) * ulp
+        inside = u < 1.0
+        assert np.all(mcsim._alpha_mu_bulk(p, u[inside]) >= m[inside])
+
+
+@pytest.mark.parametrize("alpha,mu", GATE_PAIRS)
+def test_hop_gate_bracket_equals_exact_gate(alpha, mu):
+    # the table bounds must bracket the exact gate wherever rounding could
+    # tip it: m at the grid points and 1 ulp either side, at cell midpoints,
+    # at 0 and beyond both ends; u at the gate and at both bounds, 1 ulp
+    # either side
+    p = AlphaMuParams(alpha, mu, 3.7)
+    lo, h, lower_tab, _ = mcsim._gate_table(p)
+    j = np.arange(lower_tab.size - 1)
+    grid = np.exp(lo + h * j)
+    m = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf),
+                        np.exp(lo + h * (j[:-1] + 0.5)),
+                        [0.0, 5e-324, 0.5 * grid[0], 2.0 * grid[-1], 1e300]])
+    gate = alpha_mu_snr_cdf(p, m) * (1.0 + mcsim._GATE_MARGIN)
+    lower, upper = mcsim._gate_bounds(p, m)
+    assert np.all(lower <= gate) and np.all(gate <= upper)
+    assert np.any(lower == -1.0) and np.any(upper == 2.0)
+    for v in (gate, lower, upper):
+        for u in (np.nextafter(v, -1.0), v, np.nextafter(v, 2.0)):
+            u = np.clip(u, 0.0, 1.0 - 2.0 ** -53)  # the range of Generator.random
+            assert np.array_equal(mcsim._hop_gate(p, u, m), u <= gate)
 
 
 def test_asep_matches_quadrature():

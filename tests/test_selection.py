@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ def test_downlink_cdf_values():
     assert downlink_cdf(spec(1, 1), 1.0) == pytest.approx(1.0 - math.exp(-1.0))
     assert downlink_cdf(spec(1, 1, down=3.0), 1.0) == pytest.approx(
         1.0 - math.exp(-1.0 / 3.0))
+
+
+def test_rayleigh_cdfs_of_huge_array_gamma_emit_no_warning():
+    # gamma / mean above the largest double must not overflow with a warning
+    s = SchedulingSpec(3, 1, 0.01, 0.01)
+    g = np.array([1e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert downlink_cdf(s, g).tolist() == [1.0]
+        assert nth_best_cdf(s, g).tolist() == [1.0]
+        assert best_select_cdf(s, g).tolist() == [1.0]
 
 
 # ------------------------------------------------------------ validation
