@@ -10,6 +10,8 @@ from .analysis import (
     asep,
     asymptotic_outage,
     classify_asymptotics,
+    configure,
+    evaluate,
     phase1_outage,
     phase2_outage,
     sweep,
@@ -23,10 +25,9 @@ from .ggfit import (
     FitResult,
     fit_alpha_mu,
     fit_diagnostics,
-    fitted_alpha_mu_snr,
 )
 from .mcsim import DEFAULT_SEED, McConfig, rng_stream, simulate_asep, simulate_outage
-from .scenario import Scenario, ScenarioError, load_scenario, save_scenario, serialize_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, serialize_scenario
 from .selection import SchedulingSpec
 
 __all__ = [
@@ -34,11 +35,10 @@ __all__ = [
     "FitOptions", "FitResult", "GammaGammaParams", "McConfig",
     "NonConvergenceError", "PerfEstimate", "QuadratureFailureError",
     "Scenario", "ScenarioError", "SchedulingSpec", "SweepRow", "SystemConfig",
-    "asep", "asymptotic_outage", "classify_asymptotics", "fit_alpha_mu",
-    "fit_diagnostics", "fitted_alpha_mu_snr", "load_scenario",
-    "phase1_outage", "phase2_outage", "rng_stream", "save_scenario",
-    "serialize_scenario", "simulate_asep", "simulate_outage", "sweep",
-    "total_outage",
+    "asep", "asymptotic_outage", "classify_asymptotics", "configure",
+    "evaluate", "fit_alpha_mu", "fit_diagnostics", "load_scenario",
+    "phase1_outage", "phase2_outage", "rng_stream", "serialize_scenario",
+    "simulate_asep", "simulate_outage", "sweep", "total_outage",
 ]
 
 __version__ = "0.1.0"

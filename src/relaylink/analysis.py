@@ -247,6 +247,10 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One curve point: exact is the analytic value (the exact outage, or the
+    ASEP by quadrature; its method says which), asymptotic the high-SNR
+    outage where it applies."""
+
     value: float
     exact: PerfEstimate
     asymptotic: PerfEstimate | None
@@ -256,34 +260,44 @@ class SweepRow:
 _SWEEP_VARIABLES = ("mean_snr_db", "K", "N", "gamma_th")
 
 
-def sweep(c: SystemConfig, variable: str, grid, mc=None) -> list[SweepRow]:
-    """Outage across a parameter grid.
-
-    variable is one of mean_snr_db / K / N / gamma_th; the mean-SNR sweep
-    sets all four link averages to the swept value (i.i.d. equal-power
-    assumption). mc is an optional McConfig enabling a Monte-Carlo column.
-    """
-    if variable not in _SWEEP_VARIABLES:
-        raise ValueError(f"variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
-    rows = []
-    for g in grid:
-        cfg = _configure(c, variable, g)
+def evaluate(c: SystemConfig, value, metric: str = "outage", mc=None) -> SweepRow:
+    """The curve row of c at the swept value: metric "outage" gives the exact
+    outage and its asymptote (None for unequal mean SNRs), "asep" the ASEP by
+    quadrature. mc is an optional McConfig adding a Monte-Carlo estimate."""
+    from . import mcsim  # here, not at the top: mcsim imports this module
+    if metric == "outage":
+        exact, simulate = total_outage(c), mcsim.simulate_outage
         try:
-            asym = asymptotic_outage(cfg)
+            asym = asymptotic_outage(c)
         except ValueError:
             asym = None
-        mc_est = None
-        if mc is not None:
-            from .mcsim import simulate_outage
-            mc_est = simulate_outage(cfg, mc)
-        rows.append(SweepRow(value=float(g), exact=total_outage(cfg),
-                             asymptotic=asym, mc=mc_est))
-    return rows
+    elif metric == "asep":
+        exact, asym, simulate = asep(c), None, mcsim.simulate_asep
+    else:
+        raise ValueError(f"metric must be 'outage' or 'asep', got {metric!r}")
+    return SweepRow(value=float(value), exact=exact, asymptotic=asym,
+                    mc=None if mc is None else simulate(c, mc))
 
 
-def _configure(c: SystemConfig, variable: str, value) -> SystemConfig:
+def sweep(c: SystemConfig, variable: str, grid, metric: str = "outage",
+          mc=None) -> list[SweepRow]:
+    """evaluate() at configure(c, variable, g) for each g of the grid."""
+    return [evaluate(configure(c, variable, g), g, metric, mc) for g in grid]
+
+
+def db_to_linear(x_db: float) -> float:
+    try:
+        return 10.0 ** (float(x_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{float(x_db)!r} dB is too large for a float") from None
+
+
+def configure(c: SystemConfig, variable: str, value) -> SystemConfig:
+    """c with one sweep variable set to value: mean_snr_db sets all four link
+    averages (i.i.d. equal-power assumption), K / N the scheduling, or
+    gamma_th the outage threshold."""
     if variable == "mean_snr_db":
-        snr = 10.0 ** (value / 10.0)
+        snr = db_to_linear(value)
         sched = dataclasses.replace(c.scheduling, uplink_mean_snr=snr,
                                     downlink_mean_snr=snr)
         return dataclasses.replace(
@@ -296,4 +310,6 @@ def _configure(c: SystemConfig, variable: str, value) -> SystemConfig:
     if variable == "N":
         return dataclasses.replace(
             c, scheduling=dataclasses.replace(c.scheduling, n_order=int(value)))
-    return dataclasses.replace(c, gamma_th=float(value))
+    if variable == "gamma_th":
+        return dataclasses.replace(c, gamma_th=float(value))
+    raise ValueError(f"variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")

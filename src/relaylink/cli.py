@@ -6,11 +6,16 @@ Subcommands:
     asep    SCENARIO [--sweep-snr a:b:s] ... symbol-error CSV (quadrature/MC)
     ksweep  SCENARIO --k A..B [--n-equals-k] outage vs number of nodes
 
-Exit codes: 0 success, 1 usage or scenario parse error, 2 solver failure
-(non-convergence, or quadrature routes that disagree), 3 Monte-Carlo
-self-check failure. The Monte-Carlo seed is taken from --seed, else the
-RELAYLINK_SEED environment variable, else a fixed documented default, so
-published CSVs are reproducible.
+outage and asep share one handler over analysis.evaluate, the evaluator that
+analysis.sweep maps over a grid. A negative START is written
+--sweep-snr=-10:0:2, since argparse reads "-10:..." as an option.
+
+Exit codes: 0 success, 1 usage or scenario error (including a --sweep-snr grid
+that is empty, non-finite, too long or has coinciding points, and a dB value
+too large for a float), 2 solver failure (non-convergence, or quadrature
+routes that disagree), 3 Monte-Carlo self-check failure. The Monte-Carlo seed
+is taken from --seed, else the RELAYLINK_SEED environment variable, else a
+fixed documented default, so published CSVs are reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from . import analysis
 from .channels import GammaGammaParams
 from .errors import NonConvergenceError, QuadratureFailureError
 from .ggfit import fit_alpha_mu, fit_diagnostics
-from .mcsim import DEFAULT_SEED, McConfig, simulate_asep, simulate_outage
+from .mcsim import DEFAULT_SEED, McConfig
 from .scenario import ScenarioError, linear_to_db, load_scenario
 
 EXIT_OK = 0
@@ -127,20 +132,17 @@ def _parse_snr_sweep(spec: str):
         raise ScenarioError(f"--sweep-snr values must be finite: {spec!r}")
     if step <= 0:
         raise ScenarioError("--sweep-snr step must be positive")
-    grid = []
-    value = start
-    while value <= stop + 1e-9:
-        grid.append(value)
-        value = start + len(grid) * step
-    if not grid:
+    # the slack, relative to STEP, keeps a STOP that START + i * STEP reaches
+    # only up to rounding; the first point is START itself, so -0 stays -0.0
+    span = (stop - start) / step + 1e-9
+    if not span >= 0:
         raise ScenarioError(f"--sweep-snr grid is empty (START > STOP): {spec!r}")
+    if not span < 2.0 ** 53:
+        raise ScenarioError(f"--sweep-snr has too many points: {spec!r}")
+    grid = [start + i * step if i else start for i in range(math.floor(span) + 1)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ScenarioError(f"--sweep-snr points coincide: {spec!r}")
     return grid
-
-
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
 
 
 def _fmt(x):
@@ -148,7 +150,7 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    fh, close = _open_out(path)
+    fh = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -156,7 +158,7 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) if isinstance(v, (float, type(None))) else str(v)
                              for v in row])
     finally:
-        if close:
+        if path is not None:
             fh.close()
 
 
@@ -193,82 +195,55 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _sweep_points(args, system):
-    if args.sweep_snr is not None:
-        return _parse_snr_sweep(args.sweep_snr), True
-    # single point at the scenario's own (possibly unequal) link SNRs
-    return [linear_to_db(system.scheduling.uplink_mean_snr)], False
+_HEADERS = {
+    "outage": ["snr_db", "outage_exact", "outage_asymptotic", "outage_mc", "mc_stderr"],
+    "asep": ["snr_db", "asep_quadrature", "asep_mc", "mc_stderr"],
+}
 
 
-def _outage_selfcheck_fails(p: float, est) -> bool:
-    """Two-sided exact binomial test of the MC hit count against the exact
-    outage p, each tail at the one-sided 5-sigma normal level. Unlike a
-    normal approximation it stays valid when few trials are expected to hit."""
+def _selfcheck_fails(row) -> bool:
+    """Monte-Carlo estimate against the analytic value. Outage: a two-sided
+    exact binomial test of the hit count, each tail at the one-sided 5-sigma
+    normal level; unlike a normal approximation it stays valid when few trials
+    are expected to hit. ASEP: 5 of the estimate's standard errors."""
+    est, p = row.mc, row.exact.value
+    if row.exact.method == "quadrature":
+        return abs(est.value - p) > 5.0 * max(est.std_error, 1e-300)
     hits = round(est.value * est.trials)
     below = bdtr(hits, est.trials, p)                                # P(X <= hits)
     above = bdtrc(hits - 1, est.trials, p) if hits > 0 else 1.0      # P(X >= hits)
     return min(below, above) < _SELFCHECK_TAIL
 
 
-def cmd_outage(args) -> int:
+def cmd_curve(args) -> int:
+    """outage and asep: one CSV row per mean-SNR point, from analysis.evaluate."""
+    metric = args.command
     sc = load_scenario(args.scenario)
     mc_cfg = _mc_config(args, sc.mc)
-    grid, reconfigure = _sweep_points(args, sc.system)
-    header = ["snr_db", "outage_exact", "outage_asymptotic", "outage_mc", "mc_stderr"]
+    if args.sweep_snr is None:
+        # single point at the scenario's own (possibly unequal) link SNRs
+        points = [(linear_to_db(sc.system.scheduling.uplink_mean_snr), sc.system)]
+    else:
+        points = [(db, analysis.configure(sc.system, "mean_snr_db", db))
+                  for db in _parse_snr_sweep(args.sweep_snr)]
     rows = []
     tripped = False
-    for i, db in enumerate(grid):
-        cfg = analysis._configure(sc.system, "mean_snr_db", db) if reconfigure \
-            else sc.system
-        exact = analysis.total_outage(cfg)
+    for i, (db, cfg) in enumerate(points):
         try:
-            asym = analysis.asymptotic_outage(cfg).value
-        except ValueError:
-            asym = None
-        mc_val = mc_err = None
-        if mc_cfg is not None:
-            est = simulate_outage(cfg, mc_cfg)
-            mc_val, mc_err = est.value, est.std_error
-            if _outage_selfcheck_fails(exact.value, est):
-                tripped = True
-        rows.append([db, exact.value, asym, mc_val, mc_err])
-        if args.progress:
-            print(f"outage: point {i + 1}/{len(grid)} done", file=sys.stderr)
-    _write_csv(args.out, header, rows)
-    if tripped:
-        print("relaylink outage: Monte-Carlo self-check failed "
-              "(exact vs MC beyond 5 sigma)", file=sys.stderr)
-        return EXIT_SELFCHECK
-    return EXIT_OK
-
-
-def cmd_asep(args) -> int:
-    sc = load_scenario(args.scenario)
-    mc_cfg = _mc_config(args, sc.mc)
-    grid, reconfigure = _sweep_points(args, sc.system)
-    header = ["snr_db", "asep_quadrature", "asep_mc", "mc_stderr"]
-    rows = []
-    tripped = False
-    for i, db in enumerate(grid):
-        cfg = analysis._configure(sc.system, "mean_snr_db", db) if reconfigure \
-            else sc.system
-        try:
-            quad = analysis.asep(cfg)
+            row = analysis.evaluate(cfg, db, metric, mc_cfg)
         except QuadratureFailureError as exc:
             raise QuadratureFailureError(f"at {db!r} dB: {exc}") from exc
-        mc_val = mc_err = None
-        if mc_cfg is not None:
-            est = simulate_asep(cfg, mc_cfg)
-            mc_val, mc_err = est.value, est.std_error
-            if abs(est.value - quad.value) > 5.0 * max(est.std_error, 1e-300):
-                tripped = True
-        rows.append([db, quad.value, mc_val, mc_err])
+        cols = [row.value, row.exact.value]
+        if metric == "outage":
+            cols.append(row.asymptotic.value if row.asymptotic else None)
+        rows.append(cols + ([row.mc.value, row.mc.std_error] if row.mc else [None, None]))
+        tripped = tripped or (row.mc is not None and _selfcheck_fails(row))
         if args.progress:
-            print(f"asep: point {i + 1}/{len(grid)} done", file=sys.stderr)
-    _write_csv(args.out, header, rows)
-    if tripped:
-        print("relaylink asep: Monte-Carlo self-check failed "
-              "(quadrature vs MC beyond 5 sigma)", file=sys.stderr)
+            print(f"{metric}: point {i + 1}/{len(points)} done", file=sys.stderr)
+    _write_csv(args.out, _HEADERS[metric], rows)
+    if tripped:  # row.exact.method names the analytic value: exact or quadrature
+        print(f"relaylink {metric}: Monte-Carlo self-check failed "
+              f"({row.exact.method} vs MC beyond 5 sigma)", file=sys.stderr)
         return EXIT_SELFCHECK
     return EXIT_OK
 
@@ -289,14 +264,12 @@ def cmd_ksweep(args) -> int:
     ks = _parse_k_range(args.k)
     rows = []
     for k in ks:
-        if args.n_equals_k:
-            sched = dataclasses.replace(sc.system.scheduling, k_total=k, n_order=k)
-        elif sc.system.scheduling.n_order > k:
+        n = k if args.n_equals_k else sc.system.scheduling.n_order
+        if n > k:
             raise ScenarioError(
-                f"scenario n_order={sc.system.scheduling.n_order} exceeds K={k}; "
+                f"scenario n_order={n} exceeds K={k}; "
                 f"raise the lower --k bound or use --n-equals-k")
-        else:
-            sched = dataclasses.replace(sc.system.scheduling, k_total=k)
+        sched = dataclasses.replace(sc.system.scheduling, k_total=k, n_order=n)
         cfg = dataclasses.replace(sc.system, scheduling=sched)
         rows.append([k, analysis.total_outage(cfg).value])
     _write_csv(args.out, ["K", "outage_exact"], rows)
@@ -306,7 +279,7 @@ def cmd_ksweep(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"fit": cmd_fit, "outage": cmd_outage, "asep": cmd_asep,
+    handlers = {"fit": cmd_fit, "outage": cmd_curve, "asep": cmd_curve,
                 "ksweep": cmd_ksweep}
     try:
         return handlers[args.command](args)

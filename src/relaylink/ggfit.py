@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    AlphaMuParams,
     GammaGammaParams,
     alpha_mu_envelope_cdf,
     gamma_gamma_moment,
@@ -74,8 +73,8 @@ def fit_alpha_mu(p: GammaGammaParams, opts: FitOptions = FitOptions()) -> FitRes
     r3 = gamma_gamma_moment(p, 3) / g1 ** 3
 
     def resid(x):
-        a, m = math.exp(x[0]), math.exp(x[1])
         try:
+            a, m = math.exp(x[0]), math.exp(x[1])
             return np.array([_am_ratio(a, m, 2) / r2 - 1.0,
                              _am_ratio(a, m, 3) / r3 - 1.0])
         except OverflowError:
@@ -175,8 +174,3 @@ def fit_diagnostics(fit: FitResult, p: GammaGammaParams, draws: int,
     return FitDiagnostics(ks_distance=float(ks),
                           fourth_moment_rel_error=abs(m4_fit / m4_gg - 1.0),
                           draws=draws)
-
-
-def fitted_alpha_mu_snr(fit: FitResult, mean_snr: float) -> AlphaMuParams:
-    """SNR-level fading parameters implied by a fit, at the given average SNR."""
-    return AlphaMuParams(alpha=fit.alpha, mu=fit.mu, mean_snr=mean_snr)

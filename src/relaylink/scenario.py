@@ -21,7 +21,7 @@ import configparser
 import io
 from dataclasses import dataclass
 
-from .analysis import SystemConfig
+from .analysis import SystemConfig, db_to_linear
 from .channels import AlphaMuParams
 from .mcsim import DEFAULT_SEED, McConfig
 from .selection import SchedulingSpec
@@ -47,10 +47,6 @@ _SCHEMA = {
     "mc": {"trials", "seed", "workers", "batch"},
 }
 _REQUIRED_SECTIONS = ("scheduling", "uplink", "downlink", "sr_link", "rs_link")
-
-
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
 
 
 def linear_to_db(x: float) -> float:
@@ -179,8 +175,3 @@ def serialize_scenario(sc: Scenario) -> str:
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
-
-
-def save_scenario(sc: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_scenario(sc))

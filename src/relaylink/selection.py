@@ -47,13 +47,6 @@ def best_select_cdf(s: SchedulingSpec, gamma):
     return _result(np.power(_rayleigh_cdf(g, s.uplink_mean_snr), s.k_total), g)
 
 
-def best_select_pdf(s: SchedulingSpec, gamma):
-    g = _nonneg("gamma", gamma)
-    gbar = s.uplink_mean_snr
-    f = _rayleigh_cdf(g, gbar)
-    return _result(s.k_total * np.power(f, s.k_total - 1) * np.exp(-g / gbar) / gbar, g)
-
-
 def nth_best_cdf(s: SchedulingSpec, gamma):
     """CDF of the N-th largest of K i.i.d. exponential SNRs.
 

@@ -43,7 +43,7 @@ def config(k, n, alpha, mu, snr=1.0, gamma_th=1.0):
 
 
 def at_db(c, db):
-    return analysis._configure(c, "mean_snr_db", db)
+    return analysis.configure(c, "mean_snr_db", db)
 
 
 # The six outage configs used by criteria 2 and 5: the three backup-RF fading

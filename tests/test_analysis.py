@@ -106,7 +106,7 @@ def test_total_outage_two_assembly_paths_agree():
 
 def test_total_outage_monotone_in_snr_and_threshold():
     base = config(k=3, n=2, alpha=2.0, mu=2.0, snr=1.0)
-    vals = [total_outage(analysis._configure(base, "mean_snr_db", db)).value
+    vals = [total_outage(analysis.configure(base, "mean_snr_db", db)).value
             for db in np.linspace(0.0, 40.0, 30)]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
     vals_th = [total_outage(dataclasses.replace(base, gamma_th=g)).value
@@ -285,7 +285,7 @@ def test_classify_reads_both_hops():
     assert rep.diversity_order == pytest.approx(0.25)
     assert rep.dominant == frozenset({"T2"})
     # the exact outage falls with that slope at high SNR
-    lo, hi = (total_outage(analysis._configure(c, "mean_snr_db", db)).value
+    lo, hi = (total_outage(analysis.configure(c, "mean_snr_db", db)).value
               for db in (80.0, 100.0))
     assert -math.log10(hi / lo) / 2.0 == pytest.approx(0.25, abs=1e-3)
     # and the gain reproduces the R->S term alone
@@ -337,7 +337,7 @@ def test_core_emits_no_warnings():
         warnings.simplefilter("error")
         for name, system in _warning_free_curves():
             for db in range(0, 41, 2):
-                c = analysis._configure(system, "mean_snr_db", db)
+                c = analysis.configure(system, "mean_snr_db", db)
                 total_outage(c)
                 # gamma = 0 and the far tails of every link
                 analysis._total_outage_value(c, np.array([0.0, 5e-324, 1e-300, 1e300]))
@@ -391,6 +391,34 @@ def test_sweep_with_mc_column():
 def test_sweep_rejects_unknown_variable():
     with pytest.raises(ValueError):
         sweep(config(**ALL_EXP), "bandwidth", [1, 2])
+
+
+def test_configure_and_evaluate_reject_bad_input():
+    c = config(**ALL_EXP)
+    with pytest.raises(ValueError, match="variable"):
+        analysis.configure(c, "bandwidth", 2.0)
+    for db in (4000.0, np.float64(4000.0)):
+        with pytest.raises(ValueError, match="^4000.0 dB"):
+            analysis.configure(c, "mean_snr_db", db)
+    with pytest.raises(ValueError, match="metric"):
+        analysis.evaluate(c, 0.0, "capacity")
+    with pytest.raises(ValueError, match="metric"):
+        sweep(c, "mean_snr_db", [0.0], metric="capacity")
+
+
+def test_sweep_asep_equals_per_point_asep_bit_for_bit():
+    base = config(k=3, n=2, alpha=2.0, mu=2.0)
+    grid = [0.0, 7.5, 15.0, 30.0]
+    rows = sweep(base, "mean_snr_db", grid, metric="asep")
+    assert [r.value for r in rows] == grid
+    for db, row in zip(grid, rows):
+        expected = asep(analysis.configure(base, "mean_snr_db", db))
+        assert row.exact == expected and row.exact.method == "quadrature"
+        assert row.asymptotic is None and row.mc is None
+    base = config(k=4, n=1, alpha=2.0, mu=1.5, snr=10.0)
+    rows = sweep(base, "K", range(1, 5), metric="asep")
+    assert [r.exact.value for r in rows] == [
+        asep(analysis.configure(base, "K", k)).value for k in range(1, 5)]
 
 
 # ----------------------------------------------------------- estimates

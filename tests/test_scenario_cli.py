@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from relaylink import cli
+import relaylink
+from relaylink import cli, mcsim
 from relaylink.analysis import PerfEstimate
 from relaylink.errors import QuadratureFailureError
 from relaylink.mcsim import DEFAULT_SEED
@@ -17,7 +21,8 @@ from relaylink.scenario import (
     serialize_scenario,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 GOOD = """\
 [scheduling]
@@ -168,7 +173,10 @@ def test_cli_outage_zero_length_sweep(scenario_file, tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["10:0:1", "0:nan:1", "0:inf:1", "nan:10:1",
-                                  "-inf:10:1", "0:10:nan", "0:10:inf"])
+                                  "-inf:10:1", "0:10:nan", "0:10:inf",
+                                  # points that round to one value, or more
+                                  # points than a float index can count
+                                  "1e16:1.00000000000001e16:1", "0:1e300:1e-300"])
 def test_cli_sweep_empty_or_nonfinite_rejected(scenario_file, tmp_path, spec):
     with pytest.raises(ScenarioError):
         cli._parse_snr_sweep(spec)
@@ -177,6 +185,60 @@ def test_cli_sweep_empty_or_nonfinite_rejected(scenario_file, tmp_path, spec):
         assert cli.main([command, scenario_file, f"--sweep-snr={spec}",
                          "--out", str(out)]) == 1
         assert not out.exists()
+
+
+def test_cli_sweep_grid_counted_from_step():
+    # the slack is relative to STEP: a tiny step over a zero span is one point
+    assert cli._parse_snr_sweep("5:5:1e-12") == [5.0]
+    # the points stay START + i * STEP, and STOP counts when reached up to rounding
+    assert cli._parse_snr_sweep("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.1 * 3]
+    assert cli._parse_snr_sweep("0:1:0.3") == [0.0, 0.3, 0.6, 0.3 * 3]
+
+
+def test_cli_huge_db_value_exits_1_naming_it(scenario_file, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    for command in ("outage", "asep"):
+        assert cli.main([command, scenario_file, "--sweep-snr", "4000:4000:1",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "4000.0 dB" in err[0]
+    big = tmp_path / "big.ini"
+    big.write_text(Path(scenario_file).read_text().replace(
+        "gamma_th_db = 0", "gamma_th_db = 5000"), encoding="utf-8")
+    assert cli.main(["outage", str(big), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "5000.0 dB" in err[0]
+    assert not out.exists()
+
+
+def test_cli_sweep_at_float_max_terminates(scenario_file, tmp_path):
+    # START + STEP == START here, so a grid grown by STEP until it passes STOP
+    # would never end; the timeout turns such a hang into a failure
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = tmp_path / "o.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaylink.cli", "outage", scenario_file,
+         "--sweep-snr", "1e308:1e308:1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "relaylink outage: error: 1e+308 dB is too large for a float"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["outage", "asep"])
+def test_cli_progress_lines_leave_csv_unchanged(scenario_file, tmp_path, capsys,
+                                                 command):
+    plain, shown = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = [command, scenario_file, "--sweep-snr", "0:20:5", "--mc", "20000"]
+    assert cli.main([*args, "--out", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main([*args, "--progress", "--out", str(shown)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: point {i}/5 done" for i in range(1, 6)]
+    assert shown.read_bytes() == plain.read_bytes()
 
 
 def test_cli_outage_deterministic_bytes(scenario_file, tmp_path):
@@ -202,7 +264,7 @@ def test_cli_outage_tripwire_exit_3(scenario_file, tmp_path, monkeypatch):
     def wrong_estimate(c, m):
         return PerfEstimate(0.999, method="monte_carlo", std_error=1e-6,
                             trials=m.trials)
-    monkeypatch.setattr(cli, "simulate_outage", wrong_estimate)
+    monkeypatch.setattr(mcsim, "simulate_outage", wrong_estimate)
     code = cli.main(["outage", scenario_file, "--sweep-snr", "5:5:1",
                      "--mc", "20000", "--out", str(tmp_path / "x.csv")])
     assert code == 3
@@ -231,7 +293,7 @@ def test_cli_outage_selfcheck_few_expected_hits(tmp_path, monkeypatch,
     def estimate(c, m):
         return PerfEstimate(hits / m.trials, method="monte_carlo",
                             std_error=0.0, trials=m.trials)
-    monkeypatch.setattr(cli, "simulate_outage", estimate)
+    monkeypatch.setattr(mcsim, "simulate_outage", estimate)
     code = cli.main(["outage", str(SCENARIOS / "rf_backup_baseline.ini"),
                      "--sweep-snr", f"{snr_db}:{snr_db}:1", "--mc", "1000",
                      "--out", str(tmp_path / "o.csv")])
@@ -243,7 +305,7 @@ def test_cli_outage_selfcheck_uses_exact_spread(scenario_file, tmp_path, monkeyp
     def wrong_estimate(c, m):
         return PerfEstimate(0.5, method="monte_carlo", std_error=1.0,
                             trials=m.trials)
-    monkeypatch.setattr(cli, "simulate_outage", wrong_estimate)
+    monkeypatch.setattr(mcsim, "simulate_outage", wrong_estimate)
     code = cli.main(["outage", scenario_file, "--sweep-snr", "30:30:1",
                      "--mc", "20000", "--out", str(tmp_path / "x.csv")])
     assert code == 3
@@ -314,6 +376,11 @@ def test_cli_bad_sweep_spec(scenario_file):
     assert cli.main(["outage", scenario_file, "--sweep-snr", "0:10"]) == 1
     assert cli.main(["outage", scenario_file, "--sweep-snr", "0:10:-1"]) == 1
     assert cli.main(["ksweep", scenario_file, "--k", "5"]) == 1
+
+
+def test_public_names_resolve():
+    for name in relaylink.__all__:
+        assert getattr(relaylink, name) is not None, name
 
 
 def test_default_seed_documented_constant():

@@ -8,7 +8,6 @@ from oracles import best_select_cdf_binomial, nth_best_alternating_sum
 from relaylink.selection import (
     SchedulingSpec,
     best_select_cdf,
-    best_select_pdf,
     downlink_cdf,
     nth_best_cdf,
 )
@@ -33,20 +32,6 @@ def test_best_select_product_equals_binomial_sum():
         for g in np.linspace(0.0, 12.0, 60):
             assert best_select_cdf_binomial(s, g) == pytest.approx(
                 best_select_cdf(s, g), abs=1e-12)
-
-
-def test_best_select_pdf_values():
-    assert best_select_pdf(spec(1, 1), 0.0) == pytest.approx(1.0)
-    assert best_select_pdf(spec(2, 1), 1.0) == pytest.approx(
-        2.0 * (1.0 - math.exp(-1.0)) * math.exp(-1.0))
-
-
-def test_best_select_pdf_matches_cdf_derivative():
-    s = spec(4, 1, up=2.0)
-    for g in np.linspace(0.05, 10.0, 50):
-        eps = 1e-5
-        fd = (best_select_cdf(s, g + eps) - best_select_cdf(s, g - eps)) / (2 * eps)
-        assert fd == pytest.approx(best_select_pdf(s, g), abs=1e-6)
 
 
 # ------------------------------------------------------------ N-th best
@@ -178,6 +163,6 @@ def test_scheduling_spec_validation():
 
 def test_negative_gamma_rejected():
     s = spec(3, 2)
-    for fn in (best_select_cdf, best_select_pdf, nth_best_cdf, downlink_cdf):
+    for fn in (best_select_cdf, nth_best_cdf, downlink_cdf):
         with pytest.raises(ValueError):
             fn(s, -0.5)
