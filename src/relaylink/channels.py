@@ -23,7 +23,8 @@ class AlphaMuParams:
     """alpha-mu faded link at SNR level.
 
     alpha is the power-nonlinearity parameter, mu the number of multipath
-    clusters; mean_snr is the average received SNR (linear).
+    clusters. mean_snr is the scale g of the SNR CDF P(mu, mu (gamma/g)^(alpha/2));
+    the mean SNR is g Gamma(mu + 2/alpha) / (Gamma(mu) mu^(2/alpha)), 2g at (1, 1).
     """
 
     alpha: float

@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_SELFCHECK = 3
+FIT_KS_LIMIT = 0.01
 
 _SELFCHECK_TAIL = float(ndtr(-5.0))
 
@@ -192,6 +193,10 @@ def cmd_fit(args) -> int:
         print(f"rho_bar  = {fit.rho_bar:.6f}")
         print(f"residual = {fit.residual_norm:.3e}")
         print(f"KS dist  = {diag.ks_distance:.4f}  ({diag.draws} draws)")
+    if diag.ks_distance > FIT_KS_LIMIT:
+        print(f"relaylink fit: self-check failed: KS distance {diag.ks_distance:.4g}"
+              f" > {FIT_KS_LIMIT}", file=sys.stderr)
+        return EXIT_SELFCHECK
     return EXIT_OK
 
 

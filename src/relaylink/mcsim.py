@@ -1,8 +1,8 @@
 """Monte-Carlo verification engine.
 
 Counter-based RNG (Philox) with one independent stream per fixed-size trial
-block, so results are bit-identical for a given (seed, trials, batch) no
-matter how many worker threads execute the blocks.
+block, which worker threads share in chunks drawn at their exact stream
+offsets, so results are bit-identical for a given (seed, trials, batch).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ _GATE_MARGIN = 1e-9
 _GATE_CELLS = 4096
 _GATE_GUARD = 1e-9
 _GATE_SLACK = 1e-12
+_CHUNK = 65_536  # trials per chunk, the unit of work of a worker thread
 
 
 @dataclass(frozen=True)
@@ -64,25 +65,39 @@ def _blocks(mc: McConfig):
     return out
 
 
-def _map_blocks(fn, mc: McConfig):
-    """Run fn(stream_id, size) over all blocks, reducing in block order."""
+def _map_blocks(fn, mc: McConfig, reduce=sum):
+    """reduce([fn(stream_id, size, start, stop) for each chunk start..stop-1
+    of a block]) for each block, in block order. The chunks of all blocks
+    are one task list for the workers; each block is reduced once its chunks
+    are done, so only blocks in progress hold results."""
     blocks = _blocks(mc)
-    if mc.workers == 1:
-        return [fn(sid, size) for sid, size in blocks]
+    tasks = [(sid, size, a, min(a + _CHUNK, size))
+             for sid, size in blocks for a in range(0, size, _CHUNK)]
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        futures = [pool.submit(fn, sid, size) for sid, size in blocks]
-        return [f.result() for f in futures]
+        done = (pool.map if mc.workers > 1 else map)(fn, *zip(*tasks))
+        return [reduce([next(done) for _ in range(-(-size // _CHUNK))])
+                for _, size in blocks]
 
 
-def _draw_uniforms(c: SystemConfig, rng: np.random.Generator, size: int):
-    """All per-trial uniforms in a fixed draw order: K uplink variates, then
-    the S->R, downlink and R->S variates."""
-    k_tot = c.scheduling.k_total
-    u_up = rng.random((size, k_tot))
-    u_sr = rng.random(size)
-    u_dn = rng.random(size)
-    u_rs = rng.random(size)
-    return u_up, u_sr, u_dn, u_rs
+def _draw_uniforms(c: SystemConfig, rng: np.random.Generator, size: int,
+                   start=0, stop=None):
+    """The uniforms of trials start..stop-1 (default: all) of a block of
+    `size` trials, as drawn in order from its fresh stream rng: K uplink
+    variates a trial, then the S->R, downlink and R->S variates of all
+    trials. Each double is one Philox output and a counter step makes four,
+    so the double at offset i is drawn from rng's key after i // 4 steps and
+    i % 4 discarded draws."""
+    k, key = c.scheduling.k_total, rng.bit_generator.state["state"]["key"]
+    stop = size if stop is None else stop
+
+    def draw(offset, n):
+        gen = np.random.Generator(np.random.Philox(key=key).advance(offset // 4))
+        gen.random(offset % 4)
+        return gen.random(n)
+
+    n = stop - start
+    return (draw(start * k, n * k).reshape(n, k),
+            *(draw(size * (k + j) + start, n) for j in range(3)))
 
 
 def simulate_outage(c: SystemConfig, mc: McConfig) -> PerfEstimate:
@@ -100,11 +115,13 @@ def simulate_outage(c: SystemConfig, mc: McConfig) -> PerfEstimate:
     f_rs = alpha_mu_snr_cdf(c.rs_model, c.gamma_th)
     need = sched.k_total - sched.n_order + 1
 
-    def block(stream_id, size):
+    def block(stream_id, size, start, stop):
         rng = rng_stream(mc.seed, stream_id)
-        u_up, u_sr, u_dn, u_rs = _draw_uniforms(c, rng, size)
-        up_out = np.count_nonzero(u_up <= f_ray, axis=1) >= need
-        out = up_out | (u_sr <= f_sr) | (u_dn <= f_dn) | (u_rs <= f_rs)
+        u_up, u_sr, u_dn, u_rs = _draw_uniforms(c, rng, size, start, stop)
+        below = np.zeros(stop - start, np.int32)  # uplinks in outage
+        for u in u_up.T:
+            below += u <= f_ray
+        out = (below >= need) | (u_sr <= f_sr) | (u_dn <= f_dn) | (u_rs <= f_rs)
         return int(np.count_nonzero(out))
 
     hits = sum(_map_blocks(block, mc))
@@ -114,10 +131,12 @@ def simulate_outage(c: SystemConfig, mc: McConfig) -> PerfEstimate:
                         std_error=std_error, trials=mc.trials)
 
 
-def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int):
-    """Per-trial end-to-end SNR: the minimum of the N-th best uplink, the two
-    alpha-mu hops and the downlink, each drawn by inverse transform from the
-    same fixed-order uniforms as the outage path.
+def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
+                    start=0, stop=None):
+    """Per-trial end-to-end SNR of trials start..stop-1 (default: all) of a
+    block: the minimum of the N-th best uplink, the two alpha-mu hops and
+    the downlink, each drawn by inverse transform from the outage path's
+    uniforms (`_draw_uniforms`).
 
     Every transform is monotone in its uniform, so the N-th best uplink is
     the transform of the N-th largest uplink uniform, and an alpha-mu hop can
@@ -134,7 +153,7 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int):
     """
     sched = c.scheduling
     k, n = sched.k_total, sched.n_order
-    u_up, u_sr, u_dn, u_rs = _draw_uniforms(c, rng, size)
+    u_up, u_sr, u_dn, u_rs = _draw_uniforms(c, rng, size, start, stop)
     # N-th largest of K is the (K - N)-th entry of the ascending order; in
     # place, since np.partition would copy the whole (size, K) block
     u_up.partition(k - n, axis=1)
@@ -223,13 +242,17 @@ def simulate_asep(c: SystemConfig, mc: McConfig) -> PerfEstimate:
     conditional error (a/2) erfc(sqrt(b * gamma)) over end-to-end SNR draws."""
     a, b = c.mod_a, c.mod_b
 
-    def block(stream_id, size):
-        rng = rng_stream(mc.seed, stream_id)
-        g = _end_to_end_snr(c, rng, size)
-        pe = 0.5 * a * erfc(np.sqrt(b * g))
-        return float(np.sum(pe)), float(np.sum(pe * pe))
+    def block(stream_id, size, start, stop):
+        g = _end_to_end_snr(c, rng_stream(mc.seed, stream_id), size, start, stop)
+        return 0.5 * a * erfc(np.sqrt(b * g))
 
-    sums = _map_blocks(block, mc)
+    def block_sums(chunks):
+        # np.sum of the whole block: its pairwise order fixes the bits
+        pe = np.concatenate(chunks)
+        del chunks[:]
+        return float(np.sum(pe)), float(np.sum(np.square(pe, out=pe)))
+
+    sums = _map_blocks(block, mc, block_sums)
     s1 = math.fsum(s for s, _ in sums)
     s2 = math.fsum(q for _, q in sums)
     n = mc.trials

@@ -2,15 +2,17 @@
 
 Each one reaches a value the library computes by a different formula: the
 expanded inclusion-exclusion form of the total outage, the binomial
-expansions of the best-of-K and N-th-best CDFs, and the lower incomplete
-gamma function as a Mellin-Barnes contour integral.
+expansions of the best-of-K and N-th-best CDFs, the lower incomplete
+gamma function as a Mellin-Barnes contour integral, and the Monte-Carlo
+estimators with each block drawn in sequence and reduced whole.
 """
 
 import math
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import erfc, loggamma
 
+from relaylink import mcsim
 from relaylink.channels import alpha_mu_envelope_cdf, alpha_mu_snr_cdf
 from relaylink.selection import downlink_cdf, nth_best_cdf
 
@@ -70,3 +72,57 @@ def mellin_barnes_lower_gamma(mu, z, tmax=200.0, dt=1e-3):
     s = c + 1j * t
     vals = np.exp(loggamma(mu - s) + s * math.log(z)) / s
     return float((np.trapezoid(vals, dx=dt) / (2.0 * math.pi)).real)
+
+
+def block_uniforms(c, rng, size):
+    """A block's uniforms drawn in sequence from its stream rng: K uplink
+    variates a trial, then the S->R, downlink and R->S variates of all
+    trials."""
+    return (rng.random((size, c.scheduling.k_total)), rng.random(size),
+            rng.random(size), rng.random(size))
+
+
+def end_to_end_snr_full(c, u_up, u_sr, u_dn, u_rs):
+    """End-to-end SNR with every link transformed: log1p on all K uplink
+    columns, a full sort, and both alpha-mu hops inverted on every trial."""
+    sched = c.scheduling
+    g_up_all = -sched.uplink_mean_snr * np.log1p(-u_up)
+    g_up = np.sort(g_up_all, axis=1)[:, sched.k_total - sched.n_order]
+    g_sr = mcsim._alpha_mu_bulk(c.sr_model, u_sr)
+    g_dn = -sched.downlink_mean_snr * np.log1p(-u_dn)
+    g_rs = mcsim._alpha_mu_bulk(c.rs_model, u_rs)
+    return np.minimum(np.minimum(g_up, g_sr), np.minimum(g_dn, g_rs))
+
+
+def simulate_outage_blocks(c, mc):
+    """(value, std_error) of the outage estimate, one whole block at a time
+    from `block_uniforms`, with the uplink outages counted row by row."""
+    sched = c.scheduling
+    f_ray = -math.expm1(-c.gamma_th / sched.uplink_mean_snr)
+    f_sr = alpha_mu_snr_cdf(c.sr_model, c.gamma_th)
+    f_dn = -math.expm1(-c.gamma_th / sched.downlink_mean_snr)
+    f_rs = alpha_mu_snr_cdf(c.rs_model, c.gamma_th)
+    need = sched.k_total - sched.n_order + 1
+    hits = 0
+    for sid, size in mcsim._blocks(mc):
+        u_up, u_sr, u_dn, u_rs = block_uniforms(c, mcsim.rng_stream(mc.seed, sid), size)
+        up_out = np.count_nonzero(u_up <= f_ray, axis=1) >= need
+        out = up_out | (u_sr <= f_sr) | (u_dn <= f_dn) | (u_rs <= f_rs)
+        hits += int(np.count_nonzero(out))
+    p_hat = hits / mc.trials
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / mc.trials)
+
+
+def simulate_asep_blocks(c, mc):
+    """(value, std_error) of the ASEP estimate, one whole block at a time:
+    `end_to_end_snr_full` of `block_uniforms`, summed per block."""
+    a, b = c.mod_a, c.mod_b
+    sums = []
+    for sid, size in mcsim._blocks(mc):
+        uniforms = block_uniforms(c, mcsim.rng_stream(mc.seed, sid), size)
+        pe = 0.5 * a * erfc(np.sqrt(b * end_to_end_snr_full(c, *uniforms)))
+        sums.append((float(np.sum(pe)), float(np.sum(pe * pe))))
+    n = mc.trials
+    mean = math.fsum(s for s, _ in sums) / n
+    var = max(math.fsum(q for _, q in sums) / n - mean * mean, 0.0)
+    return min(max(mean, 0.0), 1.0), math.sqrt(var / n)

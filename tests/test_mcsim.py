@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import (block_uniforms, end_to_end_snr_full, simulate_asep_blocks,
+                     simulate_outage_blocks)
 from scipy.special import gammainc
 from scipy.stats import ks_2samp
 
@@ -173,16 +176,8 @@ def test_indicator_fast_path_equals_snr_path():
 
 
 def _end_to_end_snr_full(c, rng, size):
-    # oracle: log1p on all K uplink columns, a full sort, and the inverse
-    # transform of both alpha-mu hops on every trial
-    sched = c.scheduling
-    u_up, u_sr, u_dn, u_rs = mcsim._draw_uniforms(c, rng, size)
-    g_up_all = -sched.uplink_mean_snr * np.log1p(-u_up)
-    g_up = np.sort(g_up_all, axis=1)[:, sched.k_total - sched.n_order]
-    g_sr = mcsim._alpha_mu_bulk(c.sr_model, u_sr)
-    g_dn = -sched.downlink_mean_snr * np.log1p(-u_dn)
-    g_rs = mcsim._alpha_mu_bulk(c.rs_model, u_rs)
-    return np.minimum(np.minimum(g_up, g_sr), np.minimum(g_dn, g_rs))
+    # oracle: every link of every trial transformed
+    return end_to_end_snr_full(c, *mcsim._draw_uniforms(c, rng, size))
 
 
 SEVERE_B = (0.5803, 2.703)     # fitted severe (b) hop, alpha * mu < 2
@@ -280,6 +275,80 @@ def test_asep_matches_quadrature():
     c = config(k=2, n=1, alpha=2.0, mu=2.0, snr=10.0)
     est = simulate_asep(c, McConfig(trials=500_000, seed=9, workers=2))
     assert abs(est.value - asep(c).value) < 4.0 * est.std_error
+
+
+# ------------------------------------------------------- chunked blocks
+
+@pytest.mark.parametrize("size,start,stop", [
+    (10, 0, 10), (4_999, 0, None), (4_999, 1, 4_998), (4_999, 4_997, 4_999),
+    (70_001, 65_536, 70_001), (70_001, 3, 65_539),
+])
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_chunk_uniforms_equal_sequential_block_rows(size, start, stop, k):
+    # each segment of a chunk starts at an offset into the block's stream
+    # that is a multiple of 4 or not, by the choice of start, size and K
+    c = config(k=k, n=1)
+    block = block_uniforms(c, rng_stream(5, 2), size)
+    chunk = mcsim._draw_uniforms(c, rng_stream(5, 2), size, start, stop)
+    for whole, part in zip(block, chunk):
+        assert np.array_equal(whole[start:stop], part)
+
+
+# (trials, batch): trials below, at and above one chunk, in one or more
+# blocks, most of them multiples of neither 4 nor the chunk size; blocks of
+# one trial cost a stream each, so they run on two of the (K, N) pairs only
+ORDERS = [(1, 1), (3, 1), (3, 3), (16, 1), (16, 16)]
+CHUNK_CASES = ([(1_001, 1, 3, 1), (1_001, 1, 16, 16)]
+               + [(trials, batch, k, n)
+                  for trials, batch in [(23_333, 4_999), (1_003, 1_000_000),
+                                        (65_536, 1_000_000), (140_003, 1_000_000)]
+                  for k, n in ORDERS])
+
+
+def unequal_hops(k, n):
+    return SystemConfig(scheduling=SchedulingSpec(k, n, 4.0, 2.5),
+                        sr_model=AlphaMuParams(*SEVERE_B, 6.0),
+                        rs_model=AlphaMuParams(*VERY_WEAK, 3.0), gamma_th=1.0)
+
+
+@pytest.mark.parametrize("trials,batch,k,n", CHUNK_CASES)
+def test_chunked_estimates_equal_whole_block_oracle(trials, batch, k, n):
+    c = unequal_hops(k, n)
+    m = McConfig(trials=trials, seed=17, batch=batch)
+    outage = simulate_outage_blocks(c, m)
+    asep = simulate_asep_blocks(c, m)
+    for workers in (1, 2, 4):
+        mw = McConfig(trials=trials, seed=17, workers=workers, batch=batch)
+        est = simulate_outage(c, mw)
+        assert (est.value, est.std_error) == outage
+        est = simulate_asep(c, mw)
+        assert (est.value, est.std_error) == asep
+
+
+def test_chunked_estimates_equal_oracle_over_full_blocks():
+    # a full 1e6 block, whose last chunk is partial, then a block of 3
+    c = unequal_hops(3, 3)
+    m = McConfig(trials=1_000_003, seed=23, workers=4)
+    est = simulate_outage(c, m)
+    assert (est.value, est.std_error) == simulate_outage_blocks(c, m)
+    est = simulate_asep(c, m)
+    assert (est.value, est.std_error) == simulate_asep_blocks(c, m)
+
+
+@pytest.mark.parametrize("simulate,limit_mb", [(simulate_outage, 16),
+                                               (simulate_asep, 32)])
+def test_block_working_set_stays_small(simulate, limit_mb):
+    # one K = 10 block of 1e6 trials on one worker: the working set is a
+    # chunk's, plus the block's per-trial errors on the ASEP path
+    c = config(k=10, n=1, alpha=2.0, mu=2.0, snr=10.0)
+    simulate(c, McConfig(trials=1_000))  # builds the cached gate tables first
+    tracemalloc.start()
+    try:
+        simulate(c, McConfig(trials=1_000_000, workers=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
 
 
 # ----------------------------------------------------------- validation

@@ -143,6 +143,26 @@ def test_cli_fit_report(capsys):
     assert out["alpha"] > 0 and out["mu"] > 0
 
 
+@pytest.mark.parametrize("eta,beta", [("0.01", "0.01"), ("0.2", "5")])
+def test_cli_fit_rejected_by_ks_exits_3(eta, beta, capsys):
+    # the moments are met, but the fitted law misses the Gamma-Gamma one
+    assert cli.main(["fit", "--eta", eta, "--beta", beta, "--json"]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["residual_norm"] <= 1e-8
+    assert report["ks_distance"] > cli.FIT_KS_LIMIT
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and f"{report['ks_distance']:.4g}" in err[0]
+
+
+@pytest.mark.parametrize("eta,beta", [("21.5", "19.8"), ("9.70", "8.2"), ("8.65", "7.14"),
+                                      ("4.0", "1.84"), ("4.34", "1.30")])
+def test_cli_fit_turbulence_rows_pass_ks(eta, beta, capsys):
+    assert cli.main(["fit", "--eta", eta, "--beta", beta]) == 0
+    captured = capsys.readouterr()
+    assert "KS dist" in captured.out and captured.err == ""
+
+
 def test_cli_fit_bad_args(capsys):
     assert cli.main(["fit", "--eta", "0", "--beta", "1"]) == 1
     with pytest.raises(SystemExit) as err:
