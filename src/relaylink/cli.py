@@ -7,7 +7,8 @@ Subcommands:
     ksweep  SCENARIO --k A..B [--n-equals-k] outage vs number of nodes
 
 outage and asep share one handler over analysis.evaluate, the evaluator that
-analysis.sweep maps over a grid. A negative START is written
+analysis.sweep maps over a grid, and take a sweep's Monte-Carlo column from
+analysis.sweep_mc, one pass over the whole grid. A negative START is written
 --sweep-snr=-10:0:2, since argparse reads "-10:..." as an option.
 
 Exit codes: 0 success, 1 usage or scenario error (including a --sweep-snr grid
@@ -221,23 +222,30 @@ def _selfcheck_fails(row) -> bool:
 
 
 def cmd_curve(args) -> int:
-    """outage and asep: one CSV row per mean-SNR point, from analysis.evaluate."""
+    """outage and asep: one CSV row per mean-SNR point, from analysis.evaluate.
+    A sweep's Monte-Carlo column comes first, from one pass over its grid
+    (analysis.sweep_mc), so that each progress line marks a finished row."""
     metric = args.command
     sc = load_scenario(args.scenario)
     mc_cfg = _mc_config(args, sc.mc)
+    sims = None
     if args.sweep_snr is None:
         # single point at the scenario's own (possibly unequal) link SNRs
         points = [(linear_to_db(sc.system.scheduling.uplink_mean_snr), sc.system)]
     else:
-        points = [(db, analysis.configure(sc.system, "mean_snr_db", db))
-                  for db in _parse_snr_sweep(args.sweep_snr)]
+        grid = _parse_snr_sweep(args.sweep_snr)
+        points = [(db, analysis.configure(sc.system, "mean_snr_db", db)) for db in grid]
+        if mc_cfg is not None:
+            sims = analysis.sweep_mc(sc.system, "mean_snr_db", grid, metric, mc_cfg)
     rows = []
     tripped = False
     for i, (db, cfg) in enumerate(points):
         try:
-            row = analysis.evaluate(cfg, db, metric, mc_cfg)
+            row = analysis.evaluate(cfg, db, metric, mc_cfg if sims is None else None)
         except QuadratureFailureError as exc:
             raise QuadratureFailureError(f"at {db!r} dB: {exc}") from exc
+        if sims is not None:
+            row = dataclasses.replace(row, mc=sims[i])
         cols = [row.value, row.exact.value]
         if metric == "outage":
             cols.append(row.asymptotic.value if row.asymptotic else None)

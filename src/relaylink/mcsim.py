@@ -7,6 +7,7 @@ offsets, so results are bit-identical for a given (seed, trials, batch).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -65,18 +66,30 @@ def _blocks(mc: McConfig):
     return out
 
 
-def _map_blocks(fn, mc: McConfig, reduce=sum):
-    """reduce([fn(stream_id, size, start, stop) for each chunk start..stop-1
-    of a block]) for each block, in block order. The chunks of all blocks
-    are one task list for the workers; each block is reduced once its chunks
-    are done, so only blocks in progress hold results."""
+def _map_blocks(fn, mc: McConfig, reduce):
+    """reduce(results, run) for each block, in block order, where results are
+    fn(stream_id, size, start, stop) for the chunks start..stop-1 of the
+    block and run(f, *iterables) maps f over the same workers. While a block
+    is reduced, the chunks of the blocks after it, at least one block and one
+    chunk's worth of trials, are already queued, so the workers stay busy
+    and results held in memory stay bounded."""
     blocks = _blocks(mc)
-    tasks = [(sid, size, a, min(a + _CHUNK, size))
-             for sid, size in blocks for a in range(0, size, _CHUNK)]
+    ahead = -(-_CHUNK // mc.batch)  # blocks queued beyond the one reduced
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        done = (pool.map if mc.workers > 1 else map)(fn, *zip(*tasks))
-        return [reduce([next(done) for _ in range(-(-size // _CHUNK))])
-                for _, size in blocks]
+        def run(f, *iterables):
+            return (pool.map if mc.workers > 1 else map)(f, *iterables)
+
+        def queue(sid, size):
+            starts = range(0, size, _CHUNK)
+            return run(fn, [sid] * len(starts), [size] * len(starts), starts,
+                       [min(a + _CHUNK, size) for a in starts])
+
+        pending = collections.deque(queue(*b) for b in blocks[:ahead])
+        out = []
+        for i in range(len(blocks)):
+            pending.extend(queue(*b) for b in blocks[i + ahead:i + ahead + 1])
+            out.append(reduce(list(pending.popleft()), run))
+        return out
 
 
 def _draw_uniforms(c: SystemConfig, rng: np.random.Generator, size: int,
@@ -101,34 +114,53 @@ def _draw_uniforms(c: SystemConfig, rng: np.random.Generator, size: int,
 
 
 def simulate_outage(c: SystemConfig, mc: McConfig) -> PerfEstimate:
-    """Empirical outage probability.
+    """Empirical outage probability: `simulate_outage_grid` of c alone."""
+    return simulate_outage_grid([c], mc)[0]
+
+
+def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
+    """Empirical outage probability of each config, all from one draw.
 
     Uses the threshold-comparison form of inverse-transform sampling: a link
     is in outage exactly when its uniform variate falls below the link CDF at
     the threshold, and the N-th best uplink is below the threshold exactly
-    when at least K - N + 1 uplink uniforms do.
+    when at least K - N + 1 uplink uniforms do. The configs must share K,
+    which alone fixes the uniforms, so each chunk is drawn once and compared
+    once per config; every estimate equals that of a run of its config alone.
     """
-    sched = c.scheduling
-    f_ray = -math.expm1(-c.gamma_th / sched.uplink_mean_snr)
-    f_sr = alpha_mu_snr_cdf(c.sr_model, c.gamma_th)
-    f_dn = -math.expm1(-c.gamma_th / sched.downlink_mean_snr)
-    f_rs = alpha_mu_snr_cdf(c.rs_model, c.gamma_th)
-    need = sched.k_total - sched.n_order + 1
+    k = configs[0].scheduling.k_total
+    if any(c.scheduling.k_total != k for c in configs):
+        raise ValueError("the configs of one outage grid must share K")
+    limits = []
+    for c in configs:
+        sched = c.scheduling
+        limits.append((-math.expm1(-c.gamma_th / sched.uplink_mean_snr),
+                       alpha_mu_snr_cdf(c.sr_model, c.gamma_th),
+                       -math.expm1(-c.gamma_th / sched.downlink_mean_snr),
+                       alpha_mu_snr_cdf(c.rs_model, c.gamma_th),
+                       k - sched.n_order + 1))
 
     def block(stream_id, size, start, stop):
         rng = rng_stream(mc.seed, stream_id)
-        u_up, u_sr, u_dn, u_rs = _draw_uniforms(c, rng, size, start, stop)
-        below = np.zeros(stop - start, np.int32)  # uplinks in outage
-        for u in u_up.T:
-            below += u <= f_ray
-        out = (below >= need) | (u_sr <= f_sr) | (u_dn <= f_dn) | (u_rs <= f_rs)
-        return int(np.count_nonzero(out))
+        u_up, u_sr, u_dn, u_rs = _draw_uniforms(configs[0], rng, size, start, stop)
+        hits = np.zeros(len(limits), np.int64)
+        below = np.empty(stop - start, np.int32)  # uplinks in outage
+        for j, (f_ray, f_sr, f_dn, f_rs, need) in enumerate(limits):
+            below.fill(0)
+            for u in u_up.T:
+                below += u <= f_ray
+            out = (below >= need) | (u_sr <= f_sr) | (u_dn <= f_dn) | (u_rs <= f_rs)
+            hits[j] = np.count_nonzero(out)
+        return hits
 
-    hits = sum(_map_blocks(block, mc))
-    p_hat = hits / mc.trials
-    std_error = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / mc.trials)
-    return PerfEstimate(p_hat, method="monte_carlo",
-                        std_error=std_error, trials=mc.trials)
+    hits = sum(_map_blocks(block, mc, lambda chunks, _: sum(chunks)))
+    estimates = []
+    for h in hits.tolist():
+        p_hat = h / mc.trials
+        std_error = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / mc.trials)
+        estimates.append(PerfEstimate(p_hat, method="monte_carlo",
+                                      std_error=std_error, trials=mc.trials))
+    return estimates
 
 
 def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
@@ -239,24 +271,66 @@ def _alpha_mu_bulk(p, u):
 
 def simulate_asep(c: SystemConfig, mc: McConfig) -> PerfEstimate:
     """Empirical average symbol error probability: the mean of the
-    conditional error (a/2) erfc(sqrt(b * gamma)) over end-to-end SNR draws."""
+    conditional error (a/2) erfc(sqrt(b * gamma)) over end-to-end SNR draws;
+    `simulate_asep_grid` of c at scale 1."""
+    return simulate_asep_grid(c, [1.0], mc)[0]
+
+
+def simulate_asep_grid(c: SystemConfig, scales, mc: McConfig) -> list[PerfEstimate]:
+    """Empirical ASEP of c with all four link scales multiplied by s, for
+    each s of scales, all from one pass of `_end_to_end_snr` at c.
+
+    Each link SNR is computed as its scale times a variate that depends on
+    the uniforms alone (the alpha-mu law is a scale family in its scale, and
+    so is the exponential). When c's four scales are 1, those variates are
+    its link SNRs, and rounding is monotone, so s times its end-to-end SNR
+    (a minimum of link SNRs) is, bit for bit, that of c with its scales set
+    to s: the estimate for s equals `simulate_asep` of that config. The
+    chunks compute the errors of the first scale; the workers then refill
+    one block-sized buffer with those of each further scale, from the
+    block's unit-scale SNRs, and each fill is summed over the whole block,
+    as a run of that config alone sums it.
+    """
     a, b = c.mod_a, c.mod_b
+    keep = len(scales) > 1  # the unit-scale SNRs serve the scales after the first
+
+    def errors(s, g, out=None):  # (a/2) erfc(sqrt(b·s·g)), ufunc by ufunc
+        x = np.multiply(g, s, out=out)
+        np.multiply(x, b, out=x)
+        np.sqrt(x, out=x)
+        erfc(x, out=x)
+        return np.multiply(x, 0.5 * a, out=x)
 
     def block(stream_id, size, start, stop):
-        g = _end_to_end_snr(c, rng_stream(mc.seed, stream_id), size, start, stop)
-        return 0.5 * a * erfc(np.sqrt(b * g))
+        g1 = _end_to_end_snr(c, rng_stream(mc.seed, stream_id), size, start, stop)
+        # the first scale's errors go to a fresh array: computed in g1's
+        # place, they raised the peak RSS of 2e6-trial runs by about 4 MB
+        return (g1 if keep else None), errors(scales[0], g1)
 
-    def block_sums(chunks):
-        # np.sum of the whole block: its pairwise order fixes the bits
-        pe = np.concatenate(chunks)
+    def block_sums(chunks, run):
+        g1 = [g for g, _ in chunks]
+        starts = np.cumsum([0] + [e.size for _, e in chunks])[:-1]
+        pe = np.concatenate([e for _, e in chunks])
         del chunks[:]
-        return float(np.sum(pe)), float(np.sum(np.square(pe, out=pe)))
 
-    sums = _map_blocks(block, mc, block_sums)
-    s1 = math.fsum(s for s, _ in sums)
-    s2 = math.fsum(q for _, q in sums)
+        def fill(s, g, lo):  # scale s's errors of one chunk into the block's buffer
+            errors(s, g, pe[lo:lo + g.size])
+
+        def block_sum():  # np.sum of the whole block: its pairwise order fixes the bits
+            return float(np.sum(pe)), float(np.sum(np.square(pe, out=pe)))
+
+        sums = [block_sum()]
+        for s in scales[1:]:
+            list(run(fill, [s] * len(g1), g1, starts))
+            sums.append(block_sum())
+        return sums
+
+    per_block = _map_blocks(block, mc, block_sums)
     n = mc.trials
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return PerfEstimate(min(max(mean, 0.0), 1.0), method="monte_carlo",
-                        std_error=math.sqrt(var / n), trials=n)
+    estimates = []
+    for sums in zip(*per_block):
+        mean = math.fsum(s for s, _ in sums) / n
+        var = max(math.fsum(q for _, q in sums) / n - mean * mean, 0.0)
+        estimates.append(PerfEstimate(min(max(mean, 0.0), 1.0), method="monte_carlo",
+                                      std_error=math.sqrt(var / n), trials=n))
+    return estimates

@@ -421,6 +421,57 @@ def test_sweep_asep_equals_per_point_asep_bit_for_bit():
         asep(analysis.configure(base, "K", k)).value for k in range(1, 5)]
 
 
+# the MC grid of sweep() against evaluate() point by point: (trials,
+# batch, workers), with a batch that divides neither the trials nor the
+# chunk, and blocks of more than one chunk
+SWEEP_MC = [(23_333, 4_999, 1), (23_333, 4_999, 2), (23_333, 4_999, 3),
+            (140_003, 1_000_000, 2)]
+SWEEP_GRIDS = [
+    # unequal hop laws (one with alpha*mu < 2), 1 < N < K, and negative,
+    # fractional and extreme SNR points
+    (config(k=3, n=2, alpha=0.5803, mu=2.703, alpha2=2.0, mu2=2.0),
+     "mean_snr_db", [-30.0, -7.5, 0.0, 2.5, 13.3, 60.0]),
+    (config(k=1, n=1, alpha=2.7312, mu=2.21), "mean_snr_db", [-4.0, 0.1, 17.0]),
+    (config(k=4, n=4, alpha=1.68, mu=1.85, alpha2=0.5007, mu2=40.62),
+     "mean_snr_db", [-12.25, 3.0, 31.0]),
+    (config(k=3, n=1, alpha=2.0, mu=2.0, snr=3.0), "gamma_th", [0.1, 1.0, 3.7]),
+    (config(k=4, n=1, alpha=0.5803, mu=2.703, snr=5.0, alpha2=2.0, mu2=2.0),
+     "N", [1, 2, 3, 4]),
+    (config(k=1, n=1, alpha=2.0, mu=2.0, snr=5.0, alpha2=1.0, mu2=1.0),
+     "K", [1, 2, 5]),
+]
+
+
+@pytest.mark.parametrize("metric", ["outage", "asep"])
+@pytest.mark.parametrize("base,variable,grid", SWEEP_GRIDS)
+def test_sweep_mc_equals_per_point_bit_for_bit(base, variable, grid, metric):
+    from relaylink import mcsim
+    simulate = mcsim.simulate_outage if metric == "outage" else mcsim.simulate_asep
+    configs = [analysis.configure(base, variable, g) for g in grid]
+    for trials, batch, workers in SWEEP_MC:
+        mc = mcsim.McConfig(trials=trials, seed=41, workers=workers, batch=batch)
+        assert (analysis.sweep_mc(base, variable, grid, metric, mc)
+                == [simulate(c, mc) for c in configs])
+    # whole rows, wherever the analytic value exists at every point
+    try:
+        expected = [analysis.evaluate(c, g, metric, mc) for c, g in zip(configs, grid)]
+    except QuadratureFailureError:
+        with pytest.raises(QuadratureFailureError):
+            sweep(base, variable, grid, metric, mc)
+    else:
+        assert sweep(base, variable, grid, metric, mc) == expected
+
+
+def test_sweep_takes_any_iterable_grid():
+    from relaylink.mcsim import McConfig
+    base = config(k=2, n=1, alpha=2.0, mu=2.0)
+    mc = McConfig(trials=2_000, seed=3)
+    for metric in ("outage", "asep"):
+        assert (sweep(base, "mean_snr_db", (db for db in (0.0, 5.0)), metric, mc)
+                == sweep(base, "mean_snr_db", [0.0, 5.0], metric, mc))
+        assert sweep(base, "mean_snr_db", [], metric, mc) == []
+
+
 # ----------------------------------------------------------- estimates
 
 def test_perf_estimate_validation():

@@ -3,13 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (block_uniforms, end_to_end_snr_full, simulate_asep_blocks,
                      simulate_outage_blocks)
 from scipy.special import gammainc
 from scipy.stats import ks_2samp
 
 from relaylink import mcsim
-from relaylink.analysis import SystemConfig, total_outage
+from relaylink.analysis import SystemConfig, configure, sweep_mc, total_outage
 from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
 from relaylink.mcsim import McConfig, rng_stream, simulate_asep, simulate_outage
 from relaylink.selection import SchedulingSpec, nth_best_cdf
@@ -227,6 +229,27 @@ def test_end_to_end_snr_equals_full_construction_at_table_ends(sr_scale, rs_scal
         assert np.array_equal(fast, full)
 
 
+HOP_LAWS = st.tuples(st.floats(0.3, 8.0), st.floats(0.3, 60.0))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(1, 12), data=st.data(), sr=HOP_LAWS, rs=HOP_LAWS,
+       snr_db=st.one_of(st.floats(-30.0, 60.0), st.sampled_from([-30.0, 60.0])),
+       seed=st.integers(0, 2**32 - 1))
+def test_end_to_end_snr_scales_with_the_link_scales(k, data, sr, rs, snr_db, seed):
+    # the property the ASEP grid rests on: with all four scales at s, the
+    # end-to-end SNR is s times its value at scales 1, element by element
+    n = data.draw(st.integers(1, k))
+    unit = SystemConfig(scheduling=SchedulingSpec(k, n, 1.0, 1.0),
+                        sr_model=AlphaMuParams(*sr, 1.0),
+                        rs_model=AlphaMuParams(*rs, 1.0), gamma_th=1.0)
+    scaled = configure(unit, "mean_snr_db", snr_db)
+    s = scaled.sr_model.mean_snr
+    g1 = mcsim._end_to_end_snr(unit, rng_stream(seed, 0), 3_001)
+    assert np.array_equal(mcsim._end_to_end_snr(scaled, rng_stream(seed, 0), 3_001),
+                          s * g1)
+
+
 # 30 (alpha, mu) pairs for the alpha-mu gate tests
 GATE_PAIRS = [(alpha, mu)
               for alpha in (0.3, SEVERE_B[0], VERY_WEAK[0], 1.0, 2.0, 8.0)
@@ -335,11 +358,22 @@ def test_chunked_estimates_equal_oracle_over_full_blocks():
     assert (est.value, est.std_error) == simulate_asep_blocks(c, m)
 
 
+def outage_sweep(c, m):
+    return sweep_mc(c, "mean_snr_db", range(0, 32, 2), "outage", m)  # 16 points
+
+
+def asep_sweep(c, m):
+    return sweep_mc(c, "mean_snr_db", range(0, 32, 2), "asep", m)
+
+
 @pytest.mark.parametrize("simulate,limit_mb", [(simulate_outage, 16),
-                                               (simulate_asep, 32)])
+                                               (simulate_asep, 32),
+                                               (outage_sweep, 16),
+                                               (asep_sweep, 32)])
 def test_block_working_set_stays_small(simulate, limit_mb):
-    # one K = 10 block of 1e6 trials on one worker: the working set is a
-    # chunk's, plus the block's per-trial errors on the ASEP path
+    # one K = 10 block of 1e6 trials on one worker, at one point or for a
+    # 16-point sweep: the working set is a chunk's, plus on the ASEP path the
+    # block's unit-scale SNRs and the per-trial errors of one point at a time
     c = config(k=10, n=1, alpha=2.0, mu=2.0, snr=10.0)
     simulate(c, McConfig(trials=1_000))  # builds the cached gate tables first
     tracemalloc.start()

@@ -261,6 +261,23 @@ def test_cli_progress_lines_leave_csv_unchanged(scenario_file, tmp_path, capsys,
     assert shown.read_bytes() == plain.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["outage", "asep"])
+def test_cli_sweep_rows_equal_one_point_sweeps(scenario_file, tmp_path, command):
+    # each row of a sweep, MC column included, equals the one-point sweep at
+    # its SNR byte for byte, though the sweep draws its blocks once for all
+    args = ["--mc", "20000", "--seed", "5", "--workers", "2"]
+    whole = tmp_path / "whole.csv"
+    assert cli.main([command, scenario_file, "--sweep-snr=-5:15:5", *args,
+                     "--out", str(whole)]) == 0
+    rows = whole.read_text().splitlines()
+    assert len(rows) == 6
+    for i, db in enumerate((-5, 0, 5, 10, 15)):
+        one = tmp_path / f"{db}.csv"
+        assert cli.main([command, scenario_file, f"--sweep-snr={db}:{db}:1", *args,
+                         "--out", str(one)]) == 0
+        assert one.read_text().splitlines() == [rows[0], rows[i + 1]]
+
+
 def test_cli_outage_deterministic_bytes(scenario_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["--sweep-snr", "0:10:5", "--mc", "20000", "--seed", "99"]
@@ -281,10 +298,10 @@ def test_cli_outage_env_seed(scenario_file, tmp_path, monkeypatch):
 
 
 def test_cli_outage_tripwire_exit_3(scenario_file, tmp_path, monkeypatch):
-    def wrong_estimate(c, m):
-        return PerfEstimate(0.999, method="monte_carlo", std_error=1e-6,
-                            trials=m.trials)
-    monkeypatch.setattr(mcsim, "simulate_outage", wrong_estimate)
+    def wrong_estimates(configs, m):
+        return [PerfEstimate(0.999, method="monte_carlo", std_error=1e-6,
+                             trials=m.trials) for _ in configs]
+    monkeypatch.setattr(mcsim, "simulate_outage_grid", wrong_estimates)
     code = cli.main(["outage", scenario_file, "--sweep-snr", "5:5:1",
                      "--mc", "20000", "--out", str(tmp_path / "x.csv")])
     assert code == 3
@@ -310,10 +327,10 @@ def test_cli_outage_selfcheck_passes_when_no_trial_hits(tmp_path):
 ])
 def test_cli_outage_selfcheck_few_expected_hits(tmp_path, monkeypatch,
                                                 snr_db, hits, expected):
-    def estimate(c, m):
-        return PerfEstimate(hits / m.trials, method="monte_carlo",
-                            std_error=0.0, trials=m.trials)
-    monkeypatch.setattr(mcsim, "simulate_outage", estimate)
+    def estimates(configs, m):
+        return [PerfEstimate(hits / m.trials, method="monte_carlo",
+                             std_error=0.0, trials=m.trials) for _ in configs]
+    monkeypatch.setattr(mcsim, "simulate_outage_grid", estimates)
     code = cli.main(["outage", str(SCENARIOS / "rf_backup_baseline.ini"),
                      "--sweep-snr", f"{snr_db}:{snr_db}:1", "--mc", "1000",
                      "--out", str(tmp_path / "o.csv")])
@@ -322,13 +339,27 @@ def test_cli_outage_selfcheck_few_expected_hits(tmp_path, monkeypatch,
 
 def test_cli_outage_selfcheck_uses_exact_spread(scenario_file, tmp_path, monkeypatch):
     # a badly wrong estimate that claims a wide spread of its own still trips
-    def wrong_estimate(c, m):
-        return PerfEstimate(0.5, method="monte_carlo", std_error=1.0,
-                            trials=m.trials)
-    monkeypatch.setattr(mcsim, "simulate_outage", wrong_estimate)
+    def wrong_estimates(configs, m):
+        return [PerfEstimate(0.5, method="monte_carlo", std_error=1.0,
+                             trials=m.trials) for _ in configs]
+    monkeypatch.setattr(mcsim, "simulate_outage_grid", wrong_estimates)
     code = cli.main(["outage", scenario_file, "--sweep-snr", "30:30:1",
                      "--mc", "20000", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep-snr", "0:10:5"]])
+def test_cli_asep_tripwire_exit_3(scenario_file, tmp_path, monkeypatch, capsys, sweep):
+    # a wrong ASEP estimate, on a sweep and at the single scenario point
+    def wrong_estimates(c, scales, m):
+        return [PerfEstimate(0.4, method="monte_carlo", std_error=1e-6,
+                             trials=m.trials) for _ in scales]
+    monkeypatch.setattr(mcsim, "simulate_asep_grid", wrong_estimates)
+    code = cli.main(["asep", scenario_file, *sweep, "--mc", "20000",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "relaylink asep: Monte-Carlo self-check failed (quadrature vs MC beyond 5 sigma)"]
 
 
 def test_cli_asep_quadrature_failure_exit_2(scenario_file, tmp_path, monkeypatch, capsys):
