@@ -207,18 +207,23 @@ _HEADERS = {
 }
 
 
-def _selfcheck_fails(row) -> bool:
-    """Monte-Carlo estimate against the analytic value. Outage: a two-sided
-    exact binomial test of the hit count, each tail at the one-sided 5-sigma
-    normal level; unlike a normal approximation it stays valid when few trials
-    are expected to hit. ASEP: 5 of the estimate's standard errors."""
+def _selfcheck_failure(row):
+    """Monte-Carlo estimate against the analytic value: None if it passes,
+    else the statistic that failed. Outage: a two-sided exact binomial test
+    of the hit count, each tail at the one-sided 5-sigma normal level; unlike
+    a normal approximation it stays valid when few trials are expected to
+    hit. ASEP: the z-score, failing beyond 5 of the estimate's standard
+    errors."""
     est, p = row.mc, row.exact.value
     if row.exact.method == "quadrature":
-        return abs(est.value - p) > 5.0 * max(est.std_error, 1e-300)
+        z = (est.value - p) / max(est.std_error, 1e-300)
+        return f"z = {z:.4g}, beyond 5 sigma" if abs(z) > 5.0 else None
     hits = round(est.value * est.trials)
     below = bdtr(hits, est.trials, p)                                # P(X <= hits)
     above = bdtrc(hits - 1, est.trials, p) if hits > 0 else 1.0      # P(X >= hits)
-    return min(below, above) < _SELFCHECK_TAIL
+    tail = min(below, above)
+    return (f"binomial tail probability {tail:.4g} < {_SELFCHECK_TAIL:.4g}"
+            if tail < _SELFCHECK_TAIL else None)
 
 
 def cmd_curve(args) -> int:
@@ -237,8 +242,7 @@ def cmd_curve(args) -> int:
         points = [(db, analysis.configure(sc.system, "mean_snr_db", db)) for db in grid]
         if mc_cfg is not None:
             sims = analysis.sweep_mc(sc.system, "mean_snr_db", grid, metric, mc_cfg)
-    rows = []
-    tripped = False
+    rows, failures = [], []
     for i, (db, cfg) in enumerate(points):
         try:
             row = analysis.evaluate(cfg, db, metric, mc_cfg if sims is None else None)
@@ -250,15 +254,16 @@ def cmd_curve(args) -> int:
         if metric == "outage":
             cols.append(row.asymptotic.value if row.asymptotic else None)
         rows.append(cols + ([row.mc.value, row.mc.std_error] if row.mc else [None, None]))
-        tripped = tripped or (row.mc is not None and _selfcheck_fails(row))
+        failure = _selfcheck_failure(row) if row.mc is not None else None
+        if failure:  # row.exact.method names the analytic value: exact or quadrature
+            failures.append(f"at {db!r} dB: MC vs {row.exact.method} {failure}")
         if args.progress:
             print(f"{metric}: point {i + 1}/{len(points)} done", file=sys.stderr)
     _write_csv(args.out, _HEADERS[metric], rows)
-    if tripped:  # row.exact.method names the analytic value: exact or quadrature
-        print(f"relaylink {metric}: Monte-Carlo self-check failed "
-              f"({row.exact.method} vs MC beyond 5 sigma)", file=sys.stderr)
-        return EXIT_SELFCHECK
-    return EXIT_OK
+    for failure in failures:
+        print(f"relaylink {metric}: Monte-Carlo self-check failed {failure}",
+              file=sys.stderr)
+    return EXIT_SELFCHECK if failures else EXIT_OK
 
 
 def _parse_k_range(spec: str):

@@ -14,7 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincinv
+from scipy.special import (erfc, expit, gammainc, gammaincc, gammainccinv, gammaincinv,
+                           gammaln)
 
 from .analysis import PerfEstimate, SystemConfig
 from .channels import AlphaMuParams, alpha_mu_snr_cdf
@@ -29,6 +30,14 @@ _GATE_CELLS = 4096
 _GATE_GUARD = 1e-9
 _GATE_SLACK = 1e-12
 _CHUNK = 65_536  # trials per chunk, the unit of work of a worker thread
+# Gamma quantile (_gamma_quantile): table points, evenly spaced in logit u
+# between the two ends, u = 2**-54 and 1 - 2**-53; and the largest Halley
+# step, relative to its result, that is accepted rather than handed to
+# gammaincinv
+_QUANTILE_POINTS = 16_385
+_QUANTILE_ENDS = (math.log(2.0 ** -54) - math.log1p(-2.0 ** -54),
+                  math.log1p(-2.0 ** -53) - math.log(2.0 ** -53))
+_HALLEY_LIMIT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -203,9 +212,14 @@ def _hop_gate(p: AlphaMuParams, u, m):
     """Boolean mask of u <= F(m)·(1 + _GATE_MARGIN), the trials where hop p
     can lower the running minimum m.
 
-    The margin exceeds the gammainc/gammaincinv round-trip error, so a
-    skipped trial's hop SNR is never below m. The bounds of `_gate_bounds`
-    settle every trial with u outside them; only the rest evaluate F.
+    The margin exceeds the round-trip error of gammainc and
+    `_gamma_quantile`, so a skipped trial's hop SNR is never below m: since
+    z·f(z) <= mu·F(z) for Gamma(mu), a u above the gate inverts to a z at
+    least 1e-9/mu above m's, relative, and the inverse is within about
+    2e-14 relative (its table start, Halley step and gammaincinv fallback
+    leave the rounding of P or Q), so the margin holds for mu up to about
+    1e4. The bounds of `_gate_bounds` settle every trial with u outside
+    them; only the rest evaluate F.
     """
     lower, upper = _gate_bounds(p, m)
     hit = u <= lower
@@ -265,8 +279,81 @@ def _gate_table(p: AlphaMuParams):
 
 
 def _alpha_mu_bulk(p, u):
-    # inverse transform of alpha_mu_snr_cdf; the round trip is tested
-    return p.mean_snr * (gammaincinv(p.mu, u) / p.mu) ** (2.0 / p.alpha)
+    # inverse transform of alpha_mu_snr_cdf; the round trip is tested. The
+    # ufunc np.power, because ** on a NumPy scalar can differ from the array
+    # loop in the last ulp
+    return p.mean_snr * np.power(_gamma_quantile(p.mu, u) / p.mu, 2.0 / p.alpha)
+
+
+def _gamma_quantile(mu, u):
+    """The z with P(mu, z) = u for each u of a float or an array, as an
+    array of u's shape: gammaincinv's value to within about 2e-14 relative.
+
+    The start interpolates log z linearly in logit u between the points of
+    `_quantile_table`; it is within about 6.5e-7/mu relative for mu <= 1,
+    and less above. One Halley step then solves P(mu, z) - u = 0, or
+    (1 - u) - Q(mu, z) = 0 for u > 1/2, where 1 - u is exact and Q keeps the
+    upper tail's relative accuracy. The step's cubic convergence leaves the
+    rounding of P or Q as the only error (the tests check 1e-14 against
+    mpmath). A step larger than _HALLEY_LIMIT·z, a non-finite one and u
+    outside (0, 1) take gammaincinv instead. Each value depends on (mu, u)
+    alone, never on the array around it, so chunks, workers and the
+    full-construction oracle agree bit for bit.
+    """
+    lo, inv_h, log_z, slope = _quantile_table(mu)
+    shape = np.shape(u)
+    u = np.asarray(u, dtype=float).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.log(u)
+        x -= np.log1p(-u)  # logit u
+        x -= lo
+        x *= inv_h
+        # the table's cells; nan (u outside [0, 1]) reads cell 0
+        np.fmin(np.fmax(x, 0.0, out=x), log_z.size - 1, out=x)
+        j = x.astype(np.intp)
+        x -= j
+        x *= slope[j]
+        x += log_z[j]
+        z = np.exp(x)
+        upper = u > 0.5
+        i_lo, i_up = np.flatnonzero(~upper), np.flatnonzero(upper)
+        f = np.empty_like(z)
+        f[i_lo] = gammainc(mu, z[i_lo]) - u[i_lo]
+        f[i_up] = (1.0 - u[i_up]) - gammaincc(mu, z[i_up])
+        # Halley, with f' = z**(mu - 1) e**-z / Gamma(mu) and f''/f' =
+        # (mu - 1)/z - 1; f becomes the Newton step f/f'
+        f *= np.exp(z + gammaln(mu) - (mu - 1.0) * x)
+        step = f / (1.0 - 0.5 * f * ((mu - 1.0) / z - 1.0))
+        z -= step
+        ok = (np.abs(step) <= _HALLEY_LIMIT * z) & (u > 0.0) & (u < 1.0)
+        bad = np.flatnonzero(~ok)
+    if bad.size:
+        z[bad] = gammaincinv(mu, u[bad])
+    return z.reshape(shape)
+
+
+@functools.lru_cache(maxsize=32)  # 256 KiB a table
+def _quantile_table(mu):
+    """Start of `_gamma_quantile` for Gamma(mu), built once per mu:
+    (lo, 1/h, log_z, slope).
+
+    log_z[j] is the log of the quantile at logit u = lo + h·j, j = 0 ..
+    _QUANTILE_POINTS - 1, from gammaincinv at u <= 1/2 and from
+    gammainccinv at 1 - u above, and slope[j] is log_z[j + 1] - log_z[j]
+    (0 at the last point). A quantile that underflows to 0 gives -inf and
+    nan entries, whose starts fail the Halley check.
+    """
+    lo, hi = _QUANTILE_ENDS
+    t = np.linspace(lo, hi, _QUANTILE_POINTS)
+    z = np.empty_like(t)
+    low = t <= 0.0
+    z[low] = gammaincinv(mu, expit(t[low]))
+    z[~low] = gammainccinv(mu, expit(-t[~low]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_z = np.log(z)
+        slope = np.append(np.diff(log_z), 0.0)
+    log_z.flags.writeable = slope.flags.writeable = False
+    return lo, 1.0 / (t[1] - t[0]), log_z, slope
 
 
 def simulate_asep(c: SystemConfig, mc: McConfig) -> PerfEstimate:

@@ -9,7 +9,7 @@ import pytest
 
 import relaylink
 from relaylink import cli, mcsim
-from relaylink.analysis import PerfEstimate
+from relaylink.analysis import PerfEstimate, total_outage
 from relaylink.errors import QuadratureFailureError
 from relaylink.mcsim import DEFAULT_SEED
 from relaylink.scenario import (
@@ -297,14 +297,20 @@ def test_cli_outage_env_seed(scenario_file, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_outage_tripwire_exit_3(scenario_file, tmp_path, monkeypatch):
-    def wrong_estimates(configs, m):
-        return [PerfEstimate(0.999, method="monte_carlo", std_error=1e-6,
-                             trials=m.trials) for _ in configs]
-    monkeypatch.setattr(mcsim, "simulate_outage_grid", wrong_estimates)
-    code = cli.main(["outage", scenario_file, "--sweep-snr", "5:5:1",
+def test_cli_outage_tripwire_exit_3(scenario_file, tmp_path, monkeypatch, capsys):
+    # a wrong estimate at the middle point of a sweep, right ones either side:
+    # the message names that point alone, with its binomial tail probability
+    def estimates(configs, m):
+        return [PerfEstimate(0.999 if i == 1 else total_outage(c).value,
+                             method="monte_carlo", std_error=1e-6, trials=m.trials)
+                for i, c in enumerate(configs)]
+    monkeypatch.setattr(mcsim, "simulate_outage_grid", estimates)
+    code = cli.main(["outage", scenario_file, "--sweep-snr", "0:10:5",
                      "--mc", "20000", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "relaylink outage: Monte-Carlo self-check failed at 5.0 dB: "
+        "MC vs exact binomial tail probability 0 < 2.867e-07"]
 
 
 def test_cli_outage_selfcheck_passes_when_no_trial_hits(tmp_path):
@@ -348,9 +354,15 @@ def test_cli_outage_selfcheck_uses_exact_spread(scenario_file, tmp_path, monkeyp
     assert code == 3
 
 
-@pytest.mark.parametrize("sweep", [[], ["--sweep-snr", "0:10:5"]])
-def test_cli_asep_tripwire_exit_3(scenario_file, tmp_path, monkeypatch, capsys, sweep):
-    # a wrong ASEP estimate, on a sweep and at the single scenario point
+@pytest.mark.parametrize("sweep,dbs_z", [
+    ([], [("10.0", "3.627e+05")]),
+    (["--sweep-snr", "0:10:5"],
+     [("0.0", "1.68e+05"), ("5.0", "2.853e+05"), ("10.0", "3.627e+05")]),
+], ids=["sweep0", "sweep1"])
+def test_cli_asep_tripwire_exit_3(scenario_file, tmp_path, monkeypatch, capsys,
+                                  sweep, dbs_z):
+    # a wrong ASEP estimate, on a sweep and at the single scenario point: one
+    # line names each failing point with its z-score
     def wrong_estimates(c, scales, m):
         return [PerfEstimate(0.4, method="monte_carlo", std_error=1e-6,
                              trials=m.trials) for _ in scales]
@@ -359,7 +371,8 @@ def test_cli_asep_tripwire_exit_3(scenario_file, tmp_path, monkeypatch, capsys, 
                      "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
-        "relaylink asep: Monte-Carlo self-check failed (quadrature vs MC beyond 5 sigma)"]
+        f"relaylink asep: Monte-Carlo self-check failed at {db} dB: "
+        f"MC vs quadrature z = {z}, beyond 5 sigma" for db, z in dbs_z]
 
 
 def test_cli_asep_quadrature_failure_exit_2(scenario_file, tmp_path, monkeypatch, capsys):
