@@ -179,7 +179,7 @@ def _require_equal_snrs(c: SystemConfig) -> float:
     snrs = c.all_mean_snrs()
     ref = snrs[0]
     if any(abs(s / ref - 1.0) > 1e-12 for s in snrs):
-        raise ValueError(f"asymptotics assume equal mean SNRs, got {snrs}")
+        raise ValueError(f"asymptotics assume equal SNR scales, got {snrs}")
     return ref
 
 
@@ -262,7 +262,7 @@ _SWEEP_VARIABLES = ("mean_snr_db", "K", "N", "gamma_th")
 
 def evaluate(c: SystemConfig, value, metric: str = "outage", mc=None) -> SweepRow:
     """The curve row of c at the swept value: metric "outage" gives the exact
-    outage and its asymptote (None for unequal mean SNRs), "asep" the ASEP by
+    outage and its asymptote (None for unequal SNR scales), "asep" the ASEP by
     quadrature. mc is an optional McConfig adding a Monte-Carlo estimate."""
     from . import mcsim  # here, not at the top: mcsim imports this module
     if metric == "outage":

@@ -21,14 +21,10 @@ from .analysis import PerfEstimate, SystemConfig
 from .channels import AlphaMuParams, alpha_mu_snr_cdf
 
 DEFAULT_SEED = 20240915
-# relative widening of the alpha-mu inversion gate u <= F(m) in _end_to_end_snr
+# alpha-mu gate (_hop_floors): the relative shrink of each floor's quantile,
+# and a guard in table cells, far above the rounding of a cell position
 _GATE_MARGIN = 1e-9
-# bracket of that gate (_gate_table): cells on a uniform grid in log m; the
-# log-space guard, far above the rounding of a computed cell position; and
-# the relative widening of each tabulated bound
-_GATE_CELLS = 4096
 _GATE_GUARD = 1e-9
-_GATE_SLACK = 1e-12
 _CHUNK = 65_536  # trials per chunk, the unit of work of a worker thread
 # Gamma quantile (_gamma_quantile): table points, evenly spaced in logit u
 # between the two ends, u = 2**-54 and 1 - 2**-53; and the largest Halley
@@ -180,17 +176,11 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
     uniforms (`_draw_uniforms`).
 
     Every transform is monotone in its uniform, so the N-th best uplink is
-    the transform of the N-th largest uplink uniform, and an alpha-mu hop can
-    lower the running minimum m only where u <= F(m). Only those trials are
-    inverted; the result equals the minimum of all four transformed links.
-
-    `_hop_gate` decides u <= F(m) without evaluating F on almost every
-    trial. A cached table of F on a log-m grid bounds F(m) by its values at
-    the grid points either side of m: u at or below the lower bound is a
-    certain hit, u above the upper one a certain skip. The bounds are
-    conservative (see `_gate_bounds`), so the decision equals the exact
-    test. Only trials with u between them, about 900 to 2,400 per 1e6 on
-    the benchmark's points, call `gammainc`.
+    the transform of the N-th largest uplink uniform. The Rayleigh links set
+    a running minimum m, and each alpha-mu hop inverts only the trials that
+    `_may_lower` passes. It evaluates no CDF: it skips a trial only when a
+    floor of the hop SNR, read at u from the inverse's own table, exceeds m.
+    So the result equals the minimum of all four transformed links.
     """
     sched = c.scheduling
     k, n = sched.k_total, sched.n_order
@@ -203,86 +193,59 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
                    -sched.downlink_mean_snr * np.log1p(-u_dn))
     del u_up, u_nth, u_dn
     for p, u in ((c.sr_model, u_sr), (c.rs_model, u_rs)):
-        hit = np.flatnonzero(_hop_gate(p, u, m))
+        hit = np.flatnonzero(_may_lower(p, u, m))
         m[hit] = np.minimum(m[hit], _alpha_mu_bulk(p, u[hit]))
     return m
 
 
-def _hop_gate(p: AlphaMuParams, u, m):
-    """Boolean mask of u <= F(m)·(1 + _GATE_MARGIN), the trials where hop p
-    can lower the running minimum m.
+def _may_lower(p: AlphaMuParams, u, m):
+    """Boolean mask of the trials whose hop-p SNR may lie below m: floor <= m,
+    for the floor (`_hop_floors`) of the last table point at or below u. The
+    guard keeps rounding from reading a point above u."""
+    floors = _hop_floors(p)
+    with np.errstate(divide="ignore"):  # u = 0 gives -inf, below every cell
+        x = _table_position(*_quantile_table(p.mu)[:2], u)
+    x += 1.0 - _GATE_GUARD  # 1 + the cell, less the guard
+    np.fmin(np.fmax(x, 0.0, out=x), floors.size - 1, out=x)
+    return floors[x.astype(np.intp)] <= m
 
-    The margin exceeds the round-trip error of gammainc and
-    `_gamma_quantile`, so a skipped trial's hop SNR is never below m: since
-    z·f(z) <= mu·F(z) for Gamma(mu), a u above the gate inverts to a z at
-    least 1e-9/mu above m's, relative, and the inverse is within about
-    2e-14 relative (its table start, Halley step and gammaincinv fallback
-    leave the rounding of P or Q), so the margin holds for mu up to about
-    1e4. The bounds of `_gate_bounds` settle every trial with u outside
-    them; only the rest evaluate F.
+
+@functools.lru_cache(maxsize=128)  # 128 KiB a table
+def _hop_floors(p: AlphaMuParams):
+    """Floors of hop p's SNR, built once per hop: floors[0] = 0 for u below
+    the first point of `_quantile_table`, and floors[j + 1] the SNR of
+    z_j·(1 - _GATE_MARGIN), z_j = exp(log_z[j]), at each point j but the last.
+
+    For u at or above point j, `_gamma_quantile` is at least z_j less about
+    1e-13 relative. Division and multiplication round correctly and np.power
+    is monotone in its base, so through the same ufuncs (`_snr_of_gamma`) the
+    floor is at most u's computed SNR, also where the power underflows.
     """
-    lower, upper = _gate_bounds(p, m)
-    hit = u <= lower
-    open_ = np.flatnonzero((u <= upper) & ~hit)
-    hit[open_] = u[open_] <= alpha_mu_snr_cdf(p, m[open_]) * (1.0 + _GATE_MARGIN)
-    return hit
-
-
-def _gate_bounds(p: AlphaMuParams, m):
-    """(lower, upper) arrays with lower <= F(m)·(1 + _GATE_MARGIN) <= upper
-    for each m, read from the table of `_gate_table`.
-
-    The cell position of m is rounded down for the lower bound and up for
-    the upper one, each past a log-space guard, so the grid point read lies
-    on the right side of m even after rounding. m = 0 and m below the grid
-    read -1 and F at the first point; m above it, F at the last point and 2.
-    """
-    lo, h, lower_tab, upper_tab = _gate_table(p)
-    cells = lower_tab.size - 1
-    with np.errstate(divide="ignore"):  # log(0) = -inf reads the first cell
-        t = np.log(m)
-    t *= 1.0 / h
-    t -= lo / h - 1.0  # 1 + the position of m in grid cells
-    guard = _GATE_GUARD / h
-    pos = np.subtract(t, guard)
-    np.clip(pos, 0.5, cells + 0.5, out=pos)
-    lower = lower_tab[pos.astype(np.int32)]
-    t += guard
-    np.clip(t, 0.5, cells + 0.5, out=t)
-    upper = upper_tab[t.astype(np.int32)]
-    return lower, upper
-
-
-@functools.lru_cache(maxsize=128)
-def _gate_table(p: AlphaMuParams):
-    """Bracket of the gate F(m)·(1 + _GATE_MARGIN) of hop p, built once per
-    hop: (lo, h, lower, upper).
-
-    The grid points exp(lo + h·j), j = 0.._GATE_CELLS, run from the 1e-18 to
-    the 1 - 2**-53 quantile of the hop SNR. lower[j] is the gate at grid
-    point j - 1 and upper[j] at grid point j, each widened by _GATE_SLACK,
-    which covers last-ulp non-monotonicity of the computed F; lower[0] = -1
-    and upper[-1] = 2 stand for the points beyond the two ends.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        ends = np.log(_alpha_mu_bulk(p, np.array([1e-18, 1.0 - 2.0 ** -53])))
-    # finite ends, so that every grid point is a positive finite m; a hop
-    # whose quantiles coincide (or clip alike) gets a short grid
-    lo, hi = np.clip(ends, -700.0, 700.0)
-    h = (hi - lo) / _GATE_CELLS or 1e-3
-    gate = alpha_mu_snr_cdf(p, np.exp(lo + h * np.arange(_GATE_CELLS + 1)))
-    gate *= 1.0 + _GATE_MARGIN
-    lower = np.concatenate(([-1.0], gate * (1.0 - _GATE_SLACK)))
-    upper = np.concatenate((gate * (1.0 + _GATE_SLACK), [2.0]))
-    lower.flags.writeable = upper.flags.writeable = False
-    return lo, h, lower, upper
+    z = np.exp(_quantile_table(p.mu)[2][:-1]) * (1.0 - _GATE_MARGIN)
+    floors = np.concatenate(([0.0], _snr_of_gamma(p, z)))
+    floors.flags.writeable = False
+    return floors
 
 
 def _alpha_mu_bulk(p, u):
-    # inverse transform of alpha_mu_snr_cdf; the round trip is tested. The
-    # ufunc np.power, because ** on a NumPy scalar can differ from the array
-    # loop in the last ulp
-    return p.mean_snr * np.power(_gamma_quantile(p.mu, u) / p.mu, 2.0 / p.alpha)
+    # inverse transform of alpha_mu_snr_cdf; the round trip is tested
+    return _snr_of_gamma(p, _gamma_quantile(p.mu, u))
+
+
+def _snr_of_gamma(p, z):
+    # the hop SNR of a Gamma(mu) variate z. The ufunc np.power, because ** on
+    # a NumPy scalar can differ from the array loop in the last ulp
+    return p.mean_snr * np.power(z / p.mu, 2.0 / p.alpha)
+
+
+def _table_position(lo, inv_h, u):
+    # (logit u - lo)/h: the position of each u of an array on the points of
+    # a _quantile_table, in cells
+    x = np.log(u)
+    x -= np.log1p(-u)
+    x -= lo
+    x *= inv_h
+    return x
 
 
 def _gamma_quantile(mu, u):
@@ -304,10 +267,7 @@ def _gamma_quantile(mu, u):
     shape = np.shape(u)
     u = np.asarray(u, dtype=float).ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.log(u)
-        x -= np.log1p(-u)  # logit u
-        x -= lo
-        x *= inv_h
+        x = _table_position(lo, inv_h, u)
         # the table's cells; nan (u outside [0, 1]) reads cell 0
         np.fmin(np.fmax(x, 0.0, out=x), log_z.size - 1, out=x)
         j = x.astype(np.intp)

@@ -1,5 +1,5 @@
 """Order-statistics layer for opportunistic scheduling among K i.i.d.
-Rayleigh uplinks: best-of-K and generalized N-th best selection.
+Rayleigh uplinks: N-th best selection, best-of-K at N = 1.
 
 The CDFs take a float or an array, like those of `channels`."""
 
@@ -39,12 +39,6 @@ def _rayleigh_cdf(g, mean_snr):
         # overflowing, which a float g does silently
         g = np.minimum(g, 40.0 * mean_snr)
     return -np.expm1(-g / mean_snr)
-
-
-def best_select_cdf(s: SchedulingSpec, gamma):
-    """CDF of the best of K i.i.d. exponential SNRs: (1 - e^{-g/gbar})^K."""
-    g = _nonneg("gamma", gamma)
-    return _result(np.power(_rayleigh_cdf(g, s.uplink_mean_snr), s.k_total), g)
 
 
 def nth_best_cdf(s: SchedulingSpec, gamma):

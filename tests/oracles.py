@@ -1,10 +1,11 @@
 """Second routes to the library's closed forms, kept as test oracles.
 
 Each one reaches a value the library computes by a different formula: the
-expanded inclusion-exclusion form of the total outage, the binomial
-expansions of the best-of-K and N-th-best CDFs, the lower incomplete
-gamma function as a Mellin-Barnes contour integral, and the Monte-Carlo
-estimators with each block drawn in sequence and reduced whole.
+expanded inclusion-exclusion form of the total outage, the best-of-K CDF
+(the N-th-best CDF at N = 1) as a product and as a binomial expansion, the
+binomial expansion of the N-th-best CDF, the lower incomplete gamma function
+as a Mellin-Barnes contour integral, and the Monte-Carlo estimators with
+each block drawn in sequence and reduced whole.
 """
 
 import math
@@ -30,6 +31,11 @@ def total_outage_expanded(c):
                        for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4))
     total -= f1 * f2 * f3 * f4
     return total
+
+
+def best_select_cdf(s, gamma):
+    """CDF of the best of K i.i.d. exponential SNRs: (1 - e^{-g/gbar})^K."""
+    return (-math.expm1(-gamma / s.uplink_mean_snr)) ** s.k_total
 
 
 def best_select_cdf_binomial(s, gamma):

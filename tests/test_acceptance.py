@@ -12,7 +12,8 @@ import conftest
 import mpmath
 import numpy as np
 import pytest
-from oracles import best_select_cdf_binomial, lower_gamma, mellin_barnes_lower_gamma
+from oracles import (best_select_cdf, best_select_cdf_binomial, lower_gamma,
+                     mellin_barnes_lower_gamma)
 
 from relaylink import analysis, cli
 from relaylink.analysis import (
@@ -24,7 +25,7 @@ from relaylink.analysis import (
 from relaylink.channels import AlphaMuParams, GammaGammaParams
 from relaylink.ggfit import fit_alpha_mu
 from relaylink.mcsim import McConfig, simulate_asep, simulate_outage
-from relaylink.selection import SchedulingSpec, best_select_cdf, nth_best_cdf
+from relaylink.selection import SchedulingSpec, nth_best_cdf
 
 
 def _report(num, ok, detail=""):
@@ -317,9 +318,9 @@ def test_criterion_6_figure_level_checks():
 
 def test_criterion_7_identity_suite():
     """Meijer-G kernel Gamma(mu) P(mu, z), with P from the library's CDF, vs
-    Mellin-Barnes contour at 20 points (1e-6); product vs binomial
-    best-selection CDF (1e-12); order-N CDF at N=1 reduces to best selection
-    (1e-12)."""
+    Mellin-Barnes contour at 20 points (1e-6); order-N CDF at N=1 vs the
+    binomial expansion of the best-selection CDF (1e-12) and vs its product
+    form (1e-12)."""
     failures = []
     rng = np.random.default_rng(77)
     for _ in range(20):
@@ -334,8 +335,8 @@ def test_criterion_7_identity_suite():
     for k in (1, 2, 5, 8, 12):
         s = SchedulingSpec(k, 1, 1.7, 1.7)
         for g in np.linspace(0.0, 10.0, 50):
-            if abs(best_select_cdf_binomial(s, g) - best_select_cdf(s, g)) > 1e-12:
-                failures.append(f"product vs binomial mismatch at K={k}, g={g:.2f}")
+            if abs(best_select_cdf_binomial(s, g) - nth_best_cdf(s, g)) > 1e-12:
+                failures.append(f"N=1 vs binomial mismatch at K={k}, g={g:.2f}")
             if abs(nth_best_cdf(s, g) - best_select_cdf(s, g)) > 1e-12:
                 failures.append(f"N=1 reduction mismatch at K={k}, g={g:.2f}")
     _report(7, not failures,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (block_uniforms, end_to_end_snr_full, simulate_asep_blocks,
                      simulate_outage_blocks)
-from scipy.special import gammainc
+from scipy.special import expit
 from scipy.stats import ks_2samp
 
 from relaylink import mcsim
@@ -211,17 +211,24 @@ def test_end_to_end_snr_equals_full_construction(k, n, sr, rs, snr_db):
 
 @pytest.mark.parametrize("sr_scale,rs_scale", [(1e-6, 1e6), (1e6, 1e-6)])
 def test_end_to_end_snr_equals_full_construction_at_table_ends(sr_scale, rs_scale):
-    # hop means 1e-6x and 1e6x the Rayleigh means: every m the large-mean
-    # hop meets lies below the first point of its gate table, and nearly
-    # every m the small-mean hop meets lies above the last point of its own
+    # hop scales 1e-6x and 1e6x the Rayleigh means: the large-scale hop
+    # passes only uniforms below the first point of its floor table, and the
+    # small-scale hop nearly every trial, up to the last floor
     snr = 10.0
     c = SystemConfig(scheduling=SchedulingSpec(4, 2, snr, 0.5 * snr),
                      sr_model=AlphaMuParams(*VERY_WEAK, sr_scale * snr),
                      rs_model=AlphaMuParams(*VERY_WEAK, rs_scale * snr), gamma_th=1.0)
     small, large = sorted((c.sr_model, c.rs_model), key=lambda p: p.mean_snr)
-    # the largest Rayleigh SNR a uniform below 1 gives is 36.7 means
-    assert mcsim._gate_bounds(large, np.array([37.0 * snr]))[0][0] == -1.0
-    assert mcsim._gate_bounds(small, np.array([1e-3 * snr]))[1][0] == 2.0
+    # uniforms below the first point (u = 2**-54) read floor 0; the largest
+    # Rayleigh SNR a uniform below 1 gives is 36.7 means
+    below = np.array([0.0, 2.0 ** -55])
+    assert mcsim._may_lower(large, below, np.zeros(2)).all()
+    assert mcsim._hop_floors(large)[1] > 37.0 * snr
+    # the top point, the largest uniform, reads the last floor
+    top, last = np.array([1.0 - 2.0 ** -53]), mcsim._hop_floors(small)[-1]
+    assert mcsim._may_lower(small, top, np.array([last]))[0]
+    assert not mcsim._may_lower(small, top, np.nextafter([last], 0.0))[0]
+    assert last < 1e-3 * snr
     m = McConfig(trials=40_000, seed=31, batch=25_000)
     for sid, size in mcsim._blocks(m):
         fast = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
@@ -250,47 +257,31 @@ def test_end_to_end_snr_scales_with_the_link_scales(k, data, sr, rs, snr_db, see
                           s * g1)
 
 
-# 30 (alpha, mu) pairs for the alpha-mu gate tests
+# 30 (alpha, mu) pairs for the alpha-mu gate test
 GATE_PAIRS = [(alpha, mu)
               for alpha in (0.3, SEVERE_B[0], VERY_WEAK[0], 1.0, 2.0, 8.0)
               for mu in (0.3, 1.0, SEVERE_B[1], VERY_WEAK[1], 60.0)]
 
 
-def test_alpha_mu_gate_never_skips_a_lower_hop():
-    # random draws almost never land next to F(m), so probe the boundary:
-    # the smallest draw the gate skips (Generator.random() returns multiples
-    # of 2**-53) must invert to a hop SNR of at least m
-    ulp = 2.0 ** -53
-    m = np.geomspace(1e-12, 1e9, 4001)
-    for alpha, mu in GATE_PAIRS:
-        p = AlphaMuParams(alpha, mu, 3.7)
-        f_m = gammainc(mu, mu * (m / p.mean_snr) ** (alpha / 2.0))
-        u = (np.floor(f_m * (1.0 + mcsim._GATE_MARGIN) / ulp) + 1.0) * ulp
-        inside = u < 1.0
-        assert np.all(mcsim._alpha_mu_bulk(p, u[inside]) >= m[inside])
-
-
+@pytest.mark.parametrize("scale", [3.7, 1e-200, 1e200])
 @pytest.mark.parametrize("alpha,mu", GATE_PAIRS)
-def test_hop_gate_bracket_equals_exact_gate(alpha, mu):
-    # the table bounds must bracket the exact gate wherever rounding could
-    # tip it: m at the grid points and 1 ulp either side, at cell midpoints,
-    # at 0 and beyond both ends; u at the gate and at both bounds, 1 ulp
-    # either side
-    p = AlphaMuParams(alpha, mu, 3.7)
-    lo, h, lower_tab, _ = mcsim._gate_table(p)
-    j = np.arange(lower_tab.size - 1)
-    grid = np.exp(lo + h * j)
-    m = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf),
-                        np.exp(lo + h * (j[:-1] + 0.5)),
-                        [0.0, 5e-324, 0.5 * grid[0], 2.0 * grid[-1], 1e300]])
-    gate = alpha_mu_snr_cdf(p, m) * (1.0 + mcsim._GATE_MARGIN)
-    lower, upper = mcsim._gate_bounds(p, m)
-    assert np.all(lower <= gate) and np.all(gate <= upper)
-    assert np.any(lower == -1.0) and np.any(upper == 2.0)
-    for v in (gate, lower, upper):
-        for u in (np.nextafter(v, -1.0), v, np.nextafter(v, 2.0)):
-            u = np.clip(u, 0.0, 1.0 - 2.0 ** -53)  # the range of Generator.random
-            assert np.array_equal(mcsim._hop_gate(p, u, m), u <= gate)
+def test_alpha_mu_gate_never_skips_a_lower_hop(alpha, mu, scale):
+    # random draws almost never land next to a floor, so probe the boundary:
+    # u at every quantile-table point and 1 ulp either side, on the 2**-53
+    # grid of Generator.random; m at u's hop SNR g, 1 ulp either side,
+    # g·(1 ± 1e-12) and 0. No trial the gate skips may invert below m. At
+    # alpha = mu = 0.3, g underflows for small u, and a gate testing u
+    # against the CDF at m skips some of those trials
+    p = AlphaMuParams(alpha, mu, scale)
+    points = expit(np.linspace(*mcsim._QUANTILE_ENDS, mcsim._QUANTILE_POINTS))
+    k = np.round(points * 2.0 ** 53)
+    k = np.unique(np.clip(np.concatenate([k - 1.0, k, k + 1.0]), 0.0, 2.0 ** 53 - 1.0))
+    u = k * 2.0 ** -53
+    g = mcsim._alpha_mu_bulk(p, u)
+    for m in (g, np.nextafter(g, 0.0), np.nextafter(g, np.inf),
+              g * (1.0 - 1e-12), g * (1.0 + 1e-12), np.zeros_like(g)):
+        skipped = ~mcsim._may_lower(p, u, m)
+        assert not np.any(skipped & (g < m))
 
 
 def test_asep_matches_quadrature():

@@ -3,35 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import best_select_cdf_binomial, nth_best_alternating_sum
+from oracles import best_select_cdf, best_select_cdf_binomial, nth_best_alternating_sum
 
-from relaylink.selection import (
-    SchedulingSpec,
-    best_select_cdf,
-    downlink_cdf,
-    nth_best_cdf,
-)
+from relaylink.selection import SchedulingSpec, downlink_cdf, nth_best_cdf
 
 
 def spec(k, n, up=1.0, down=1.0):
     return SchedulingSpec(k_total=k, n_order=n, uplink_mean_snr=up,
                           downlink_mean_snr=down)
-
-
-# ------------------------------------------------------------ best of K
-
-def test_best_select_cdf_values():
-    assert best_select_cdf(spec(1, 1), 1.0) == pytest.approx(1.0 - math.exp(-1.0))
-    assert best_select_cdf(spec(2, 1), 1.0) == pytest.approx(
-        (1.0 - math.exp(-1.0)) ** 2)
-
-
-def test_best_select_product_equals_binomial_sum():
-    for k, gbar in [(1, 1.0), (2, 1.0), (5, 2.0), (10, 0.7)]:
-        s = spec(k, 1, up=gbar)
-        for g in np.linspace(0.0, 12.0, 60):
-            assert best_select_cdf_binomial(s, g) == pytest.approx(
-                best_select_cdf(s, g), abs=1e-12)
 
 
 # ------------------------------------------------------------ N-th best
@@ -46,11 +25,17 @@ def test_nth_best_closed_forms():
 
 
 def test_nth_best_reduces_to_best_select():
+    # against the best-of-K CDF as a product and as a binomial expansion
     for k in (1, 2, 5, 9, 20):
         s = spec(k, 1, up=1.7)
         for g in np.linspace(0.0, 15.0, 40):
             assert nth_best_cdf(s, g) == pytest.approx(best_select_cdf(s, g),
                                                        abs=1e-12)
+    for k, gbar in [(1, 1.0), (2, 1.0), (5, 2.0), (10, 0.7)]:
+        s = spec(k, 1, up=gbar)
+        for g in np.linspace(0.0, 12.0, 60):
+            assert nth_best_cdf(s, g) == pytest.approx(
+                best_select_cdf_binomial(s, g), abs=1e-12)
 
 
 def test_nth_best_exact_order_statistic():
@@ -147,7 +132,6 @@ def test_rayleigh_cdfs_of_huge_array_gamma_emit_no_warning():
         warnings.simplefilter("error")
         assert downlink_cdf(s, g).tolist() == [1.0]
         assert nth_best_cdf(s, g).tolist() == [1.0]
-        assert best_select_cdf(s, g).tolist() == [1.0]
 
 
 # ------------------------------------------------------------ validation
@@ -163,6 +147,6 @@ def test_scheduling_spec_validation():
 
 def test_negative_gamma_rejected():
     s = spec(3, 2)
-    for fn in (best_select_cdf, nth_best_cdf, downlink_cdf):
+    for fn in (nth_best_cdf, downlink_cdf):
         with pytest.raises(ValueError):
             fn(s, -0.5)
