@@ -257,15 +257,34 @@ def test_end_to_end_snr_scales_with_the_link_scales(k, data, sr, rs, snr_db, see
                           s * g1)
 
 
-# 30 (alpha, mu) pairs for the alpha-mu gate test
+# 30 (alpha, mu) pairs for the alpha-mu gate tests
 GATE_PAIRS = [(alpha, mu)
               for alpha in (0.3, SEVERE_B[0], VERY_WEAK[0], 1.0, 2.0, 8.0)
               for mu in (0.3, 1.0, SEVERE_B[1], VERY_WEAK[1], 60.0)]
 
 
+def test_alpha_mu_gate_never_skips_a_lower_hop():
+    # random draws almost never land next to a floor, so probe the boundary:
+    # for each m, bisect the 2**-53 grid of Generator.random for the smallest
+    # draw the gate skips; it must invert to a hop SNR of at least m
+    m = np.geomspace(1e-12, 1e9, 4001)
+    top = np.int64(2 ** 53 - 1)
+    for alpha, mu in GATE_PAIRS:
+        p = AlphaMuParams(alpha, mu, 3.7)
+        inside = ~mcsim._may_lower(p, np.full(m.size, float(top) * 2.0 ** -53), m)
+        mi = m[inside]
+        # u = 0 reads floor 0 and is never skipped; hi is always skipped
+        lo, hi = np.zeros(mi.size, np.int64), np.full(mi.size, top)
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            passed = mcsim._may_lower(p, mid * 2.0 ** -53, mi)
+            lo, hi = np.where(passed, mid, lo), np.where(passed, hi, mid)
+        assert np.all(mcsim._alpha_mu_bulk(p, hi * 2.0 ** -53) >= mi)
+
+
 @pytest.mark.parametrize("scale", [3.7, 1e-200, 1e200])
 @pytest.mark.parametrize("alpha,mu", GATE_PAIRS)
-def test_alpha_mu_gate_never_skips_a_lower_hop(alpha, mu, scale):
+def test_hop_floor_gate_at_table_points(alpha, mu, scale):
     # random draws almost never land next to a floor, so probe the boundary:
     # u at every quantile-table point and 1 ulp either side, on the 2**-53
     # grid of Generator.random; m at u's hop SNR g, 1 ulp either side,

@@ -25,12 +25,15 @@ def test_nth_best_closed_forms():
 
 
 def test_nth_best_reduces_to_best_select():
-    # against the best-of-K CDF as a product and as a binomial expansion
     for k in (1, 2, 5, 9, 20):
         s = spec(k, 1, up=1.7)
         for g in np.linspace(0.0, 15.0, 40):
             assert nth_best_cdf(s, g) == pytest.approx(best_select_cdf(s, g),
                                                        abs=1e-12)
+
+
+def test_best_select_product_equals_binomial_sum():
+    # the best-of-K CDF (nth_best_cdf at N = 1) against its binomial expansion
     for k, gbar in [(1, 1.0), (2, 1.0), (5, 2.0), (10, 0.7)]:
         s = spec(k, 1, up=gbar)
         for g in np.linspace(0.0, 12.0, 60):
