@@ -1,8 +1,8 @@
 """Monte-Carlo verification engine.
 
 Counter-based RNG (Philox) with one independent stream per fixed-size trial
-block, which worker threads share in chunks drawn at their exact stream
-offsets, so results are bit-identical for a given (seed, trials, batch).
+block, which worker threads share in chunks of raw words drawn at their exact
+stream offsets, so results are bit-identical for a given (seed, trials, batch).
 """
 
 from __future__ import annotations
@@ -97,25 +97,36 @@ def _map_blocks(fn, mc: McConfig, reduce):
         return out
 
 
-def _draw_uniforms(c: SystemConfig, rng: np.random.Generator, size: int,
-                   start=0, stop=None):
-    """The uniforms of trials start..stop-1 (default: all) of a block of
-    `size` trials, as drawn in order from its fresh stream rng: K uplink
-    variates a trial, then the S->R, downlink and R->S variates of all
-    trials. Each double is one Philox output and a counter step makes four,
-    so the double at offset i is drawn from rng's key after i // 4 steps and
-    i % 4 discarded draws."""
+def _draw_words(c: SystemConfig, rng: np.random.Generator, size: int,
+                start=0, stop=None):
+    """The raw 64-bit Philox words of trials start..stop-1 (default: all) of
+    a block of `size` trials, as drawn in order from its fresh stream rng: K
+    uplink words a trial, then the S->R, downlink and R->S words of all
+    trials. A counter step makes four words, so the word at offset i is
+    drawn from rng's key after i // 4 steps and i % 4 discarded words."""
     k, key = c.scheduling.k_total, rng.bit_generator.state["state"]["key"]
     stop = size if stop is None else stop
 
     def draw(offset, n):
-        gen = np.random.Generator(np.random.Philox(key=key).advance(offset // 4))
-        gen.random(offset % 4)
-        return gen.random(n)
+        bits = np.random.Philox(key=key).advance(offset // 4)
+        bits.random_raw(offset % 4)
+        return bits.random_raw(n)
 
     n = stop - start
     return (draw(start * k, n * k).reshape(n, k),
             *(draw(size * (k + j) + start, n) for j in range(3)))
+
+
+def _to_uniforms(w):
+    """Generator.random's uniforms (w >> 11)·2**-53 of words w, written over w."""
+    u = w.view(np.float64)  # in place for a 1-D w; w >> 11 < 2**53 casts exactly
+    np.copyto(u, np.right_shift(w, 11, out=w).view(np.int64), casting="unsafe")
+    return np.multiply(u, 2.0 ** -53, out=u)
+
+
+def _word_limit(f):
+    """The largest word w with (w >> 11)·2**-53 <= f (a CDF value), exactly."""
+    return np.uint64(2 ** 64 - 1 if f >= 1.0 else math.floor(f * 2.0 ** 53) << 11 | 0x7FF)
 
 
 def simulate_outage(c: SystemConfig, mc: McConfig) -> PerfEstimate:
@@ -127,10 +138,10 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
     """Empirical outage probability of each config, all from one draw.
 
     Uses the threshold-comparison form of inverse-transform sampling: a link
-    is in outage exactly when its uniform variate falls below the link CDF at
-    the threshold, and the N-th best uplink is below the threshold exactly
-    when at least K - N + 1 uplink uniforms do. The configs must share K,
-    which alone fixes the uniforms, so each chunk is drawn once and compared
+    is in outage exactly when its word (`_draw_words`) is at most the
+    `_word_limit` of the link CDF at the threshold, and the N-th best uplink
+    exactly when at least K - N + 1 uplink words are. The configs must share
+    K, which alone fixes the words, so each chunk is drawn once and compared
     once per config; every estimate equals that of a run of its config alone.
     """
     k = configs[0].scheduling.k_total
@@ -139,22 +150,22 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
     limits = []
     for c in configs:
         sched = c.scheduling
-        limits.append((-math.expm1(-c.gamma_th / sched.uplink_mean_snr),
-                       alpha_mu_snr_cdf(c.sr_model, c.gamma_th),
-                       -math.expm1(-c.gamma_th / sched.downlink_mean_snr),
-                       alpha_mu_snr_cdf(c.rs_model, c.gamma_th),
-                       k - sched.n_order + 1))
+        limits.append((*map(_word_limit, (
+            -math.expm1(-c.gamma_th / sched.uplink_mean_snr),
+            alpha_mu_snr_cdf(c.sr_model, c.gamma_th),
+            -math.expm1(-c.gamma_th / sched.downlink_mean_snr),
+            alpha_mu_snr_cdf(c.rs_model, c.gamma_th))), k - sched.n_order + 1))
 
     def block(stream_id, size, start, stop):
         rng = rng_stream(mc.seed, stream_id)
-        u_up, u_sr, u_dn, u_rs = _draw_uniforms(configs[0], rng, size, start, stop)
+        w_up, w_sr, w_dn, w_rs = _draw_words(configs[0], rng, size, start, stop)
         hits = np.zeros(len(limits), np.int64)
-        below = np.empty(stop - start, np.int32)  # uplinks in outage
-        for j, (f_ray, f_sr, f_dn, f_rs, need) in enumerate(limits):
+        below = np.empty(stop - start, np.min_scalar_type(k))  # uplinks in outage
+        for j, (l_ray, l_sr, l_dn, l_rs, need) in enumerate(limits):
             below.fill(0)
-            for u in u_up.T:
-                below += u <= f_ray
-            out = (below >= need) | (u_sr <= f_sr) | (u_dn <= f_dn) | (u_rs <= f_rs)
+            for col in (w_up <= l_ray).T:
+                below += col
+            out = (below >= need) | (w_sr <= l_sr) | (w_dn <= l_dn) | (w_rs <= l_rs)
             hits[j] = np.count_nonzero(out)
         return hits
 
@@ -173,39 +184,42 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
     """Per-trial end-to-end SNR of trials start..stop-1 (default: all) of a
     block: the minimum of the N-th best uplink, the two alpha-mu hops and
     the downlink, each drawn by inverse transform from the outage path's
-    uniforms (`_draw_uniforms`).
+    words (`_draw_words`).
 
-    Every transform is monotone in its uniform, so the N-th best uplink is
-    the transform of the N-th largest uplink uniform. The Rayleigh links set
-    a running minimum m, and each alpha-mu hop inverts only the trials that
-    `_may_lower` passes. It evaluates no CDF: it skips a trial only when a
-    floor of the hop SNR, read at u from the inverse's own table, exceeds m.
-    So the result equals the minimum of all four transformed links.
+    Every transform is monotone in its word, so the N-th best uplink is the
+    transform of the N-th largest uplink word. The Rayleigh links set a
+    running minimum m, and each alpha-mu hop inverts, from the gate's table
+    positions, only the trials that `_may_lower` passes. It evaluates no CDF:
+    it skips a trial only when a floor of the hop SNR, read at u from the
+    inverse's own table, exceeds m. So the result equals the minimum of all
+    four transformed links.
     """
     sched = c.scheduling
     k, n = sched.k_total, sched.n_order
-    u_up, u_sr, u_dn, u_rs = _draw_uniforms(c, rng, size, start, stop)
-    # N-th largest of K is the (K - N)-th entry of the ascending order; in
-    # place, since np.partition would copy the whole (size, K) block
-    u_up.partition(k - n, axis=1)
-    u_nth = u_up[:, k - n]
+    w_up, w_sr, w_dn, w_rs = _draw_words(c, rng, size, start, stop)
+    w_nth = w_up[:, k - n]  # the N-th largest word, (K - N)-th in ascending order
+    if n == 1:  # by a running maximum
+        for w in w_up.T[:-1]:
+            np.maximum(w_nth, w, out=w_nth)
+    else:  # by a partition in place, since np.partition would copy the block
+        w_up.partition(k - n, axis=1)
+    u_nth, u_sr, u_dn, u_rs = map(_to_uniforms, (w_nth, w_sr, w_dn, w_rs))
     m = np.minimum(-sched.uplink_mean_snr * np.log1p(-u_nth),
                    -sched.downlink_mean_snr * np.log1p(-u_dn))
-    del u_up, u_nth, u_dn
+    del w_up, w_nth, u_nth, u_dn
     for p, u in ((c.sr_model, u_sr), (c.rs_model, u_rs)):
-        hit = np.flatnonzero(_may_lower(p, u, m))
-        m[hit] = np.minimum(m[hit], _alpha_mu_bulk(p, u[hit]))
+        x = _table_position(p.mu, u)
+        hit = np.flatnonzero(_may_lower(p, u, m, x))
+        m[hit] = np.minimum(m[hit], _snr_of_gamma(p, _quantile_at(p.mu, u[hit], x[hit])))
     return m
 
 
-def _may_lower(p: AlphaMuParams, u, m):
+def _may_lower(p: AlphaMuParams, u, m, x=None):
     """Boolean mask of the trials whose hop-p SNR may lie below m: floor <= m,
-    for the floor (`_hop_floors`) of the last table point at or below u. The
-    guard keeps rounding from reading a point above u."""
+    for the floor (`_hop_floors`) of the last table point at or below u, read
+    at u's `_table_position` x (if given) less a guard against rounding."""
     floors = _hop_floors(p)
-    with np.errstate(divide="ignore"):  # u = 0 gives -inf, below every cell
-        x = _table_position(*_quantile_table(p.mu)[:2], u)
-    x += 1.0 - _GATE_GUARD  # 1 + the cell, less the guard
+    x = (_table_position(p.mu, u) if x is None else x) + (1.0 - _GATE_GUARD)
     np.fmin(np.fmax(x, 0.0, out=x), floors.size - 1, out=x)
     return floors[x.astype(np.intp)] <= m
 
@@ -238,11 +252,13 @@ def _snr_of_gamma(p, z):
     return p.mean_snr * np.power(z / p.mu, 2.0 / p.alpha)
 
 
-def _table_position(lo, inv_h, u):
+def _table_position(mu, u):
     # (logit u - lo)/h: the position of each u of an array on the points of
-    # a _quantile_table, in cells
-    x = np.log(u)
-    x -= np.log1p(-u)
+    # mu's _quantile_table, in cells; u = 0 gives -inf, below every cell
+    lo, inv_h = _quantile_table(mu)[:2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.log(u)
+        x -= np.log1p(-u)
     x -= lo
     x *= inv_h
     return x
@@ -263,11 +279,15 @@ def _gamma_quantile(mu, u):
     alone, never on the array around it, so chunks, workers and the
     full-construction oracle agree bit for bit.
     """
-    lo, inv_h, log_z, slope = _quantile_table(mu)
     shape = np.shape(u)
     u = np.asarray(u, dtype=float).ravel()
+    return _quantile_at(mu, u, _table_position(mu, u)).reshape(shape)
+
+
+def _quantile_at(mu, u, x):
+    # _gamma_quantile of a 1-D u, from its _table_position x, which it overwrites
+    log_z, slope = _quantile_table(mu)[2:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = _table_position(lo, inv_h, u)
         # the table's cells; nan (u outside [0, 1]) reads cell 0
         np.fmin(np.fmax(x, 0.0, out=x), log_z.size - 1, out=x)
         j = x.astype(np.intp)
@@ -289,7 +309,7 @@ def _gamma_quantile(mu, u):
         bad = np.flatnonzero(~ok)
     if bad.size:
         z[bad] = gammaincinv(mu, u[bad])
-    return z.reshape(shape)
+    return z
 
 
 @functools.lru_cache(maxsize=32)  # 256 KiB a table

@@ -45,6 +45,59 @@ def test_rng_streams_statistically_independent():
     assert ks_2samp(a, b).pvalue > 0.01
 
 
+# ------------------------------------------------------------ raw words
+
+WORD_MAX = 2 ** 64 - 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(f=st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -53]),
+                   st.integers(0, 2 ** 53).map(lambda k: k * 2.0 ** -53),
+                   st.floats(0.0, 1.0)))
+def test_word_limit_is_exact(f):
+    # w <= L(f) exactly when the uniform (w >> 11)·2**-53 of w is <= f, for f,
+    # its float neighbours (those that can be CDF values, f >= 0) and words
+    # at L(f) - 1, L(f), L(f) + 1 and both ends of the word range
+    for g in (math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)):
+        if g < 0.0:
+            continue
+        limit = mcsim._word_limit(g)
+        assert limit.dtype == np.uint64
+        words = sorted({min(max(int(limit) + d, 0), WORD_MAX) for d in (-1, 0, 1)}
+                       | {0, WORD_MAX})
+        expect = [(w >> 11) * 2.0 ** -53 <= g for w in words]
+        w = np.array(words, np.uint64)
+        assert (w <= limit).tolist() == expect
+        assert (mcsim._to_uniforms(w) <= g).tolist() == expect
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(0, 70), st.sampled_from([4_095, 65_537])),
+       skip=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+def test_words_convert_in_place_to_generator_uniforms(n, skip, seed):
+    # the words after `skip` discarded ones, so the first is at any offset
+    # within a counter step, and n of them, a multiple of 4 or not
+    expect = np.random.Generator(np.random.Philox(seed)).random(skip + 3 * n)[skip:]
+    words = np.random.Philox(seed).random_raw(skip + 3 * n)[skip:]
+    u = mcsim._to_uniforms(words[:n])
+    assert np.array_equal(u, expect[:n])
+    assert n == 0 or np.shares_memory(u, words)
+    # a strided column of an (n, 2) block, as the N-th best uplink word is
+    col = mcsim._to_uniforms(words[n:].reshape(n, 2)[:, 1])
+    assert np.array_equal(col, expect[n:].reshape(n, 2)[:, 1])
+
+
+def test_word_conversion_needs_no_temporary():
+    words = np.random.Philox(3).random_raw(1_000_003)
+    tracemalloc.start()
+    try:
+        mcsim._to_uniforms(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < words.nbytes // 100
+
+
 # -------------------------------------------------------- determinism
 
 def test_simulate_outage_repeatable():
@@ -179,7 +232,7 @@ def test_indicator_fast_path_equals_snr_path():
 
 def _end_to_end_snr_full(c, rng, size):
     # oracle: every link of every trial transformed
-    return end_to_end_snr_full(c, *mcsim._draw_uniforms(c, rng, size))
+    return end_to_end_snr_full(c, *map(mcsim._to_uniforms, mcsim._draw_words(c, rng, size)))
 
 
 SEVERE_B = (0.5803, 2.703)     # fitted severe (b) hop, alpha * mu < 2
@@ -322,7 +375,7 @@ def test_chunk_uniforms_equal_sequential_block_rows(size, start, stop, k):
     # that is a multiple of 4 or not, by the choice of start, size and K
     c = config(k=k, n=1)
     block = block_uniforms(c, rng_stream(5, 2), size)
-    chunk = mcsim._draw_uniforms(c, rng_stream(5, 2), size, start, stop)
+    chunk = map(mcsim._to_uniforms, mcsim._draw_words(c, rng_stream(5, 2), size, start, stop))
     for whole, part in zip(block, chunk):
         assert np.array_equal(whole[start:stop], part)
 
@@ -366,6 +419,46 @@ def test_chunked_estimates_equal_oracle_over_full_blocks():
     assert (est.value, est.std_error) == simulate_outage_blocks(c, m)
     est = simulate_asep(c, m)
     assert (est.value, est.std_error) == simulate_asep_blocks(c, m)
+
+
+# (hits, ASEP mean, ASEP standard error) of 150,003 trials at seed 41 in
+# blocks of 100,000 on 2 workers, recorded before the kernels read raw words
+PINNED_STREAMS = [
+    ("nakagami_K3", 19_051, 0.03220870574416481, 0.00016883757879359023),
+    ("nakagami_K10", 18_767, 0.03152268957850392, 0.00016750465121879993),
+    ("unequal_hops_K4_N2", 83_906, 0.13960459838944733, 0.0003242298311386539),
+]
+
+
+def nakagami(k):
+    # rf_backup_baseline at 10 dB: alpha = 2, mu = m = 2 hops, N = 1
+    return SystemConfig(scheduling=SchedulingSpec(k, 1, 10.0, 10.0),
+                        sr_model=AlphaMuParams(2.0, 2.0, 10.0),
+                        rs_model=AlphaMuParams(2.0, 2.0, 10.0), gamma_th=1.0)
+
+
+@pytest.mark.parametrize("name,hits,mean,std_error", PINNED_STREAMS)
+def test_pinned_streams(name, hits, mean, std_error):
+    # any change to the streams, the words they give or how the kernels read
+    # them changes these figures and must say so
+    c = {"nakagami_K3": nakagami(3), "nakagami_K10": nakagami(10),
+         "unequal_hops_K4_N2": unequal_hops(4, 2)}[name]
+    m = McConfig(trials=150_003, seed=41, workers=2, batch=100_000)
+    assert simulate_outage(c, m).value == hits / m.trials
+    est = simulate_asep(c, m)
+    assert est.value == pytest.approx(mean, rel=1e-13, abs=0.0)
+    assert est.std_error == pytest.approx(std_error, rel=1e-13, abs=0.0)
+
+
+def test_outage_counts_more_than_255_uplinks():
+    # K = 300 uplinks, nearly all in outage: a count of 8 bits would wrap
+    c = SystemConfig(scheduling=SchedulingSpec(300, 1, 0.2, 100.0),
+                     sr_model=AlphaMuParams(2.0, 2.0, 100.0),
+                     rs_model=AlphaMuParams(2.0, 2.0, 100.0), gamma_th=1.0)
+    m = McConfig(trials=2_000, seed=5)
+    est = simulate_outage(c, m)
+    assert (est.value, est.std_error) == simulate_outage_blocks(c, m)
+    assert 0.05 < est.value < 0.3
 
 
 def outage_sweep(c, m):
