@@ -188,11 +188,10 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
 
     Every transform is monotone in its word, so the N-th best uplink is the
     transform of the N-th largest uplink word. The Rayleigh links set a
-    running minimum m, and each alpha-mu hop inverts, from the gate's table
-    positions, only the trials that `_may_lower` passes. It evaluates no CDF:
+    running minimum m; each alpha-mu hop inverts, from the gate's table
+    positions, only the trials `_may_lower` passes, which evaluates no CDF:
     it skips a trial only when a floor of the hop SNR, read at u from the
-    inverse's own table, exceeds m. So the result equals the minimum of all
-    four transformed links.
+    inverse's own table, exceeds m. So m is the minimum of all four links.
     """
     sched = c.scheduling
     k, n = sched.k_total, sched.n_order
@@ -210,7 +209,7 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
     for p, u in ((c.sr_model, u_sr), (c.rs_model, u_rs)):
         x = _table_position(p.mu, u)
         hit = np.flatnonzero(_may_lower(p, u, m, x))
-        m[hit] = np.minimum(m[hit], _snr_of_gamma(p, _quantile_at(p.mu, u[hit], x[hit])))
+        m[hit] = np.minimum(m[hit], _alpha_mu_bulk(p, u[hit], x[hit]))
     return m
 
 
@@ -241,9 +240,10 @@ def _hop_floors(p: AlphaMuParams):
     return floors
 
 
-def _alpha_mu_bulk(p, u):
-    # inverse transform of alpha_mu_snr_cdf; the round trip is tested
-    return _snr_of_gamma(p, _gamma_quantile(p.mu, u))
+def _alpha_mu_bulk(p, u, x=None):
+    # inverse transform of alpha_mu_snr_cdf, the round trip tested; x, if
+    # given, is the _table_position of a 1-D u
+    return _snr_of_gamma(p, _gamma_quantile(p.mu, u) if x is None else _quantile_at(p.mu, u, x))
 
 
 def _snr_of_gamma(p, z):
