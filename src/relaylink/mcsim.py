@@ -161,9 +161,10 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
         w_up, w_sr, w_dn, w_rs = _draw_words(configs[0], rng, size, start, stop)
         hits = np.zeros(len(limits), np.int64)
         below = np.empty(stop - start, np.min_scalar_type(k))  # uplinks in outage
+        mask = np.empty(w_up.shape, bool)  # one (n, K) mask, refilled for each config
         for j, (l_ray, l_sr, l_dn, l_rs, need) in enumerate(limits):
             below.fill(0)
-            for col in (w_up <= l_ray).T:
+            for col in np.less_equal(w_up, l_ray, out=mask).T:
                 below += col
             out = (below >= need) | (w_sr <= l_sr) | (w_dn <= l_dn) | (w_rs <= l_rs)
             hits[j] = np.count_nonzero(out)
@@ -197,9 +198,9 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
     k, n = sched.k_total, sched.n_order
     w_up, w_sr, w_dn, w_rs = _draw_words(c, rng, size, start, stop)
     w_nth = w_up[:, k - n]  # the N-th largest word, (K - N)-th in ascending order
-    if n == 1:  # by a running maximum
-        for w in w_up.T[:-1]:
-            np.maximum(w_nth, w, out=w_nth)
+    if n == 1:  # by a running maximum; no column view outlives the block
+        for j in range(k - 1):
+            np.maximum(w_nth, w_up[:, j], out=w_nth)
     else:  # by a partition in place, since np.partition would copy the block
         w_up.partition(k - n, axis=1)
     u_nth, u_sr, u_dn, u_rs = map(_to_uniforms, (w_nth, w_sr, w_dn, w_rs))
@@ -241,8 +242,7 @@ def _hop_floors(p: AlphaMuParams):
 
 
 def _alpha_mu_bulk(p, u, x=None):
-    # inverse transform of alpha_mu_snr_cdf, the round trip tested; x, if
-    # given, is the _table_position of a 1-D u
+    # inverse transform of alpha_mu_snr_cdf (round trip tested); x: a 1-D u's _table_position
     return _snr_of_gamma(p, _gamma_quantile(p.mu, u) if x is None else _quantile_at(p.mu, u, x))
 
 

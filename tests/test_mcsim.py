@@ -421,8 +421,8 @@ def test_chunked_estimates_equal_oracle_over_full_blocks():
     assert (est.value, est.std_error) == simulate_asep_blocks(c, m)
 
 
-# (hits, ASEP mean, ASEP standard error) of 150,003 trials at seed 41 in
-# blocks of 100,000 on 2 workers, recorded before the kernels read raw words
+# (outage hits, ASEP mean, ASEP standard error) of 150,003 trials at seed 41
+# in blocks of 100,000 on 2 workers, as the Generator.random streams give them
 PINNED_STREAMS = [
     ("nakagami_K3", 19_051, 0.03220870574416481, 0.00016883757879359023),
     ("nakagami_K10", 18_767, 0.03152268957850392, 0.00016750465121879993),
@@ -439,8 +439,8 @@ def nakagami(k):
 
 @pytest.mark.parametrize("name,hits,mean,std_error", PINNED_STREAMS)
 def test_pinned_streams(name, hits, mean, std_error):
-    # any change to the streams, the words they give or how the kernels read
-    # them changes these figures and must say so
+    # a change to the streams or to how the kernels read them fails here, and
+    # must name the new figures
     c = {"nakagami_K3": nakagami(3), "nakagami_K10": nakagami(10),
          "unequal_hops_K4_N2": unequal_hops(4, 2)}[name]
     m = McConfig(trials=150_003, seed=41, workers=2, batch=100_000)
@@ -451,7 +451,8 @@ def test_pinned_streams(name, hits, mean, std_error):
 
 
 def test_outage_counts_more_than_255_uplinks():
-    # K = 300 uplinks, nearly all in outage: a count of 8 bits would wrap
+    # K = 300 uplinks, each in outage with probability 0.993: a count of 8
+    # bits would wrap
     c = SystemConfig(scheduling=SchedulingSpec(300, 1, 0.2, 100.0),
                      sr_model=AlphaMuParams(2.0, 2.0, 100.0),
                      rs_model=AlphaMuParams(2.0, 2.0, 100.0), gamma_th=1.0)
