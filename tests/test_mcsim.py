@@ -262,6 +262,11 @@ def test_end_to_end_snr_equals_full_construction(k, n, sr, rs, snr_db):
         assert np.array_equal(fast, full)
 
 
+def may_lower(p, u, m):
+    # the kernel's gate of hop p, at u's own table positions
+    return mcsim._may_lower(p, u, m, mcsim._table_position(p.mu, u))
+
+
 @pytest.mark.parametrize("sr_scale,rs_scale", [(1e-6, 1e6), (1e6, 1e-6)])
 def test_end_to_end_snr_equals_full_construction_at_table_ends(sr_scale, rs_scale):
     # hop scales 1e-6x and 1e6x the Rayleigh means: the large-scale hop
@@ -275,12 +280,12 @@ def test_end_to_end_snr_equals_full_construction_at_table_ends(sr_scale, rs_scal
     # uniforms below the first point (u = 2**-54) read floor 0; the largest
     # Rayleigh SNR a uniform below 1 gives is 36.7 means
     below = np.array([0.0, 2.0 ** -55])
-    assert mcsim._may_lower(large, below, np.zeros(2)).all()
+    assert may_lower(large, below, np.zeros(2)).all()
     assert mcsim._hop_floors(large)[1] > 37.0 * snr
     # the top point, the largest uniform, reads the last floor
     top, last = np.array([1.0 - 2.0 ** -53]), mcsim._hop_floors(small)[-1]
-    assert mcsim._may_lower(small, top, np.array([last]))[0]
-    assert not mcsim._may_lower(small, top, np.nextafter([last], 0.0))[0]
+    assert may_lower(small, top, np.array([last]))[0]
+    assert not may_lower(small, top, np.nextafter([last], 0.0))[0]
     assert last < 1e-3 * snr
     m = McConfig(trials=40_000, seed=31, batch=25_000)
     for sid, size in mcsim._blocks(m):
@@ -324,13 +329,13 @@ def test_alpha_mu_gate_never_skips_a_lower_hop():
     top = np.int64(2 ** 53 - 1)
     for alpha, mu in GATE_PAIRS:
         p = AlphaMuParams(alpha, mu, 3.7)
-        inside = ~mcsim._may_lower(p, np.full(m.size, float(top) * 2.0 ** -53), m)
+        inside = ~may_lower(p, np.full(m.size, float(top) * 2.0 ** -53), m)
         mi = m[inside]
         # u = 0 reads floor 0 and is never skipped; hi is always skipped
         lo, hi = np.zeros(mi.size, np.int64), np.full(mi.size, top)
         while np.any(hi - lo > 1):
             mid = lo + (hi - lo) // 2
-            passed = mcsim._may_lower(p, mid * 2.0 ** -53, mi)
+            passed = may_lower(p, mid * 2.0 ** -53, mi)
             lo, hi = np.where(passed, mid, lo), np.where(passed, hi, mid)
         assert np.all(mcsim._alpha_mu_bulk(p, hi * 2.0 ** -53) >= mi)
 
@@ -352,7 +357,7 @@ def test_hop_floor_gate_at_table_points(alpha, mu, scale):
     g = mcsim._alpha_mu_bulk(p, u)
     for m in (g, np.nextafter(g, 0.0), np.nextafter(g, np.inf),
               g * (1.0 - 1e-12), g * (1.0 + 1e-12), np.zeros_like(g)):
-        skipped = ~mcsim._may_lower(p, u, m)
+        skipped = ~may_lower(p, u, m)
         assert not np.any(skipped & (g < m))
 
 
@@ -448,18 +453,6 @@ def test_pinned_streams(name, hits, mean, std_error):
     est = simulate_asep(c, m)
     assert est.value == pytest.approx(mean, rel=1e-13, abs=0.0)
     assert est.std_error == pytest.approx(std_error, rel=1e-13, abs=0.0)
-
-
-def test_outage_counts_more_than_255_uplinks():
-    # K = 300 uplinks, each in outage with probability 0.993: a count of 8
-    # bits would wrap
-    c = SystemConfig(scheduling=SchedulingSpec(300, 1, 0.2, 100.0),
-                     sr_model=AlphaMuParams(2.0, 2.0, 100.0),
-                     rs_model=AlphaMuParams(2.0, 2.0, 100.0), gamma_th=1.0)
-    m = McConfig(trials=2_000, seed=5)
-    est = simulate_outage(c, m)
-    assert (est.value, est.std_error) == simulate_outage_blocks(c, m)
-    assert 0.05 < est.value < 0.3
 
 
 def outage_sweep(c, m):
