@@ -198,7 +198,7 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
     k, n = sched.k_total, sched.n_order
     w_up, w_sr, w_dn, w_rs = _draw_words(c, rng, size, start, stop)
     w_nth = w_up[:, k - n]  # the N-th largest word, (K - N)-th in ascending order
-    if n == 1:  # by a running maximum, at K = 3 a tenth of the partition's time;
+    if n == 1:  # by a running maximum, at K = 3 under a tenth of the partition's time;
         for j in range(k - 1):  # by index, so no column view outlives the block
             np.maximum(w_nth, w_up[:, j], out=w_nth)
     else:  # by a partition in place, since np.partition would copy the block
