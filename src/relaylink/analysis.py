@@ -191,24 +191,27 @@ def _hop_term(link: AlphaMuParams):
     return link.alpha * mu / 2.0, math.exp((mu - 1.0) * math.log(mu) - math.lgamma(mu))
 
 
+def _outage_terms(c: SystemConfig):
+    """(order, coefficient) of each high-SNR outage term coef * lam^order,
+    lam = gamma_th / mean_snr, in summation order: the N-th best uplink (T1),
+    the S->R and R->S hops, and the downlink (T3). The uplink coefficient is
+    Psi1; Psi2 = Gamma(mu, 0)/Gamma(mu) - 1 is identically zero and is dropped."""
+    k_tot, n = c.scheduling.k_total, c.scheduling.n_order
+    order = k_tot - n + 1
+    psi1 = math.comb(k_tot - 1, n - 1) * k_tot / order
+    return [(order, psi1), _hop_term(c.sr_model), _hop_term(c.rs_model), (1, 1.0)]
+
+
 def _ties(order, best):
     return abs(order - best) <= 1e-9 * max(best, 1.0)
 
 
 def asymptotic_outage(c: SystemConfig) -> PerfEstimate:
-    """High-SNR outage approximation: the sum of the dominant per-link terms.
-
-    Psi2 = Gamma(mu, 0)/Gamma(mu) - 1 is identically zero and is dropped.
-    """
-    gbar = _require_equal_snrs(c)
-    lam_gth = c.gamma_th / gbar
-    k_tot, n = c.scheduling.k_total, c.scheduling.n_order
-    psi1 = math.comb(k_tot - 1, n - 1) * k_tot / (k_tot - n + 1)
-    value = psi1 * lam_gth ** (k_tot - n + 1)
-    for link in (c.sr_model, c.rs_model):
-        order, coef = _hop_term(link)
+    """High-SNR outage approximation: the sum of the dominant per-link terms."""
+    lam_gth = c.gamma_th / _require_equal_snrs(c)
+    value = 0.0  # a loop, not sum(): from Python 3.12 sum() compensates, changing bits
+    for order, coef in _outage_terms(c):
         value += coef * lam_gth ** order
-    value += lam_gth
     return PerfEstimate(min(value, 1.0), method="asymptotic")
 
 
@@ -222,25 +225,14 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
     summed term exactly.
     """
     _require_equal_snrs(c)
-    k_tot, n = c.scheduling.k_total, c.scheduling.n_order
-    hops = [_hop_term(link) for link in (c.sr_model, c.rs_model)]
+    t1, *hops, t3 = _outage_terms(c)
     t2_order = min(order for order, _ in hops)
     t2_coef = sum(coef for order, coef in hops if _ties(order, t2_order))
-    orders = {
-        "T1": float(k_tot - n + 1),
-        "T2": t2_order,
-        "T3": 1.0,
-    }
+    terms = {"T1": t1, "T2": (t2_order, t2_coef), "T3": t3}
+    orders = {t: float(order) for t, (order, _) in terms.items()}
     diversity = min(orders.values())
     dominant = frozenset(t for t, d in orders.items() if _ties(d, diversity))
-    psi1 = math.comb(k_tot - 1, n - 1) * k_tot / (k_tot - n + 1)
-    ups1 = psi1 ** (-1.0 / (k_tot - n + 1))
-    ups2 = t2_coef ** (-1.0 / t2_order)
-    gains = {
-        "T1": ups1 / c.gamma_th,
-        "T2": ups2 / c.gamma_th,
-        "T3": 1.0 / c.gamma_th,
-    }
+    gains = {t: coef ** (-1.0 / order) / c.gamma_th for t, (order, coef) in terms.items()}
     return AsymptoticReport(diversity_order=diversity,
                             coding_gain_terms=gains, dominant=dominant)
 

@@ -113,7 +113,7 @@ def _mc_config(args, scenario_mc):
     seed = _resolve_seed(args.seed)
     if args.mc is None and scenario_mc is None:
         return None
-    base = scenario_mc if scenario_mc is not None else McConfig(trials=max(args.mc, 1000))
+    base = scenario_mc if scenario_mc is not None else McConfig(trials=args.mc)
     return dataclasses.replace(
         base,
         trials=args.mc if args.mc is not None else base.trials,

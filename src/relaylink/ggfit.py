@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    AlphaMuParams,
     GammaGammaParams,
-    alpha_mu_envelope_cdf,
+    alpha_mu_snr_cdf,
     gamma_gamma_moment,
     gamma_gamma_sample,
 )
@@ -163,8 +164,8 @@ def fit_diagnostics(fit: FitResult, p: GammaGammaParams, draws: int,
     if not fit.converged:
         raise ValueError("fit_diagnostics requires a converged fit")
     x = np.sort(gamma_gamma_sample(p, rng, draws))
-    omega = 1.0 / fit.rho_bar  # envelope scale in the standard parameterization
-    cdf = alpha_mu_envelope_cdf(fit.alpha, fit.mu, omega, x)
+    # the envelope CDF with scale Omega = 1/rho_bar is the SNR-form CDF with exponent 2 alpha
+    cdf = alpha_mu_snr_cdf(AlphaMuParams(2.0 * fit.alpha, fit.mu, 1.0 / fit.rho_bar), x)
     n = draws
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n

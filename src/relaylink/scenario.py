@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .analysis import SystemConfig, db_to_linear
@@ -50,7 +51,6 @@ _REQUIRED_SECTIONS = ("scheduling", "uplink", "downlink", "sr_link", "rs_link")
 
 
 def linear_to_db(x: float) -> float:
-    import math
     if x <= 0:
         raise ValueError(f"cannot express nonpositive value {x} in dB")
     return 10.0 * math.log10(x)
@@ -125,25 +125,19 @@ def parse_scenario(text: str) -> Scenario:
         system = SystemConfig(scheduling=sched, sr_model=sr, rs_model=rs,
                               gamma_th=get_linear("scheduling", "gamma_th"),
                               mod_a=mod_a, mod_b=mod_b)
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(str(exc)) from exc
-
-    mc = None
-    if "mc" in cp:
-        require("mc", "trials")
-        try:
+        mc = None
+        if "mc" in cp:
+            require("mc", "trials")
             mc = McConfig(
                 trials=get_int("mc", "trials"),
                 seed=get_int("mc", "seed") if cp.has_option("mc", "seed") else DEFAULT_SEED,
                 workers=get_int("mc", "workers") if cp.has_option("mc", "workers") else 1,
                 batch=get_int("mc", "batch") if cp.has_option("mc", "batch") else 1_000_000,
             )
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(str(exc)) from exc
+    except ValueError as exc:
+        if isinstance(exc, ScenarioError):
+            raise
+        raise ScenarioError(str(exc)) from exc
     return Scenario(system=system, mc=mc)
 
 

@@ -5,7 +5,11 @@ expanded inclusion-exclusion form of the total outage, the best-of-K CDF
 (the N-th-best CDF at N = 1) as a product and as a binomial expansion, the
 binomial expansion of the N-th-best CDF, the lower incomplete gamma function
 as a Mellin-Barnes contour integral, and the Monte-Carlo estimators with
-each block drawn in sequence and reduced whole.
+each block drawn in sequence and reduced whole. The alpha-mu SNR and
+envelope densities and the envelope moments are here too: the library needs
+none of them, and the tests integrate the densities against its CDF and
+substitute the moments into its fits. The envelope CDF is the library's one
+alpha-mu CDF, called in its envelope parameters.
 """
 
 import math
@@ -14,7 +18,7 @@ import numpy as np
 from scipy.special import erfc, loggamma
 
 from relaylink import mcsim
-from relaylink.channels import alpha_mu_envelope_cdf, alpha_mu_snr_cdf
+from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
 from relaylink.selection import downlink_cdf, nth_best_cdf
 
 
@@ -62,11 +66,61 @@ def nth_best_alternating_sum(s, gamma):
     return k_tot * math.comb(k_tot - 1, n - 1) * math.fsum(terms)
 
 
+def alpha_mu_envelope_cdf(alpha, mu, omega, h):
+    """The envelope CDF P(mu, mu (h/Omega)^alpha) as the library evaluates it:
+    its SNR-form CDF with exponent 2 alpha and scale Omega."""
+    return alpha_mu_snr_cdf(AlphaMuParams(2.0 * alpha, mu, omega), h)
+
+
+def alpha_mu_envelope_pdf(alpha: float, mu: float, omega: float, h: float) -> float:
+    """alpha-mu envelope density with envelope scale Omega = E[h^alpha]^(1/alpha)."""
+    if not (alpha > 0 and mu > 0 and omega > 0):
+        raise ValueError("alpha, mu, omega must be positive")
+    if h < 0:
+        raise ValueError(f"h must be nonnegative, got {h}")
+    if h == 0.0:
+        # limit: density is 0 unless alpha*mu == 1, where it is alpha*mu^mu/(Gamma(mu)*Omega)
+        if alpha * mu == 1.0:
+            return alpha * math.exp(mu * math.log(mu) - math.lgamma(mu)) / omega
+        return 0.0 if alpha * mu > 1.0 else math.inf
+    log_pdf = (math.log(alpha) + mu * math.log(mu) + (alpha * mu - 1.0) * math.log(h)
+               - math.lgamma(mu) - alpha * mu * math.log(omega)
+               - mu * (h / omega) ** alpha)
+    return math.exp(log_pdf)
+
+
+def alpha_mu_snr_pdf(p: AlphaMuParams, gamma: float) -> float:
+    """SNR density of the alpha-mu law p, evaluated in log space so large
+    fading parameters and small SNRs do not overflow."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    a, mu, gbar = p.alpha, p.mu, p.mean_snr
+    if gamma == 0.0:
+        if a * mu == 2.0:
+            return math.exp(mu * math.log(mu) - math.lgamma(mu)
+                            + math.log(a / 2.0) - (a * mu / 2.0) * math.log(gbar))
+        return 0.0 if a * mu > 2.0 else math.inf
+    log_pdf = (math.log(a / 2.0) + mu * (math.log(mu) - (a / 2.0) * math.log(gbar))
+               - math.lgamma(mu) + (a * mu / 2.0 - 1.0) * math.log(gamma)
+               - mu * (gamma / gbar) ** (a / 2.0))
+    return math.exp(log_pdf)
+
+
+def alpha_mu_moment(alpha: float, mu: float, rho_bar: float, n: int) -> float:
+    """n-th envelope moment, rho_bar^{-n} Gamma(mu + n/alpha) / (mu^{n/alpha} Gamma(mu))."""
+    if not (alpha > 0 and mu > 0 and rho_bar > 0):
+        raise ValueError("alpha, mu, rho_bar must be positive")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    return math.exp(-n * math.log(rho_bar) + math.lgamma(mu + n / alpha)
+                    - (n / alpha) * math.log(mu) - math.lgamma(mu))
+
+
 def lower_gamma(z, mu):
     """Lower incomplete gamma gamma(mu, z) = Gamma(mu) P(mu, z), the Meijer-G
     kernel G^{1,1}_{1,2}[z | 1; mu, 0] of the link CDFs, with P taken from
-    the library's envelope CDF (alpha = 1, Omega = mu)."""
-    return alpha_mu_envelope_cdf(1.0, mu, mu, z) * math.gamma(mu)
+    the library's CDF (alpha = 2, mean SNR = mu)."""
+    return alpha_mu_snr_cdf(AlphaMuParams(2.0, mu, mu), z) * math.gamma(mu)
 
 
 def mellin_barnes_lower_gamma(mu, z, tmax=200.0, dt=1e-3):

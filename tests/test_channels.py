@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from oracles import (
+    alpha_mu_envelope_cdf,
+    alpha_mu_envelope_pdf,
+    alpha_mu_moment,
+    alpha_mu_snr_pdf,
+)
 
 from relaylink.analysis import _adaptive_simpson
 from relaylink.channels import (
     AlphaMuParams,
     GammaGammaParams,
-    alpha_mu_envelope_cdf,
-    alpha_mu_envelope_pdf,
-    alpha_mu_moment,
     alpha_mu_snr_cdf,
-    alpha_mu_snr_pdf,
     gamma_gamma_moment,
     gamma_gamma_sample,
 )

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import alpha_mu_moment
 
-from relaylink.channels import GammaGammaParams, alpha_mu_moment, gamma_gamma_moment
+from relaylink.channels import GammaGammaParams, gamma_gamma_moment
 from relaylink.errors import NonConvergenceError
 from relaylink.ggfit import (
     FitOptions,

@@ -231,6 +231,18 @@ def test_cli_huge_db_value_exits_1_naming_it(scenario_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_mc_below_minimum_exits_1(scenario_file, tmp_path, capsys):
+    # with and without an [mc] section in the scenario
+    with_mc = tmp_path / "with_mc.ini"
+    with_mc.write_text(GOOD, encoding="utf-8")
+    out = tmp_path / "o.csv"
+    for path in (scenario_file, str(with_mc)):
+        assert cli.main(["outage", path, "--mc", "999", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "relaylink outage: error: trials must be an integer >= 1000, got 999"]
+        assert not out.exists()
+
+
 def test_cli_sweep_at_float_max_terminates(scenario_file, tmp_path):
     # START + STEP == START here, so a grid grown by STEP until it passes STOP
     # would never end; the timeout turns such a hang into a failure

@@ -1,5 +1,5 @@
 """The special functions under the analytic core, each against an independent
-oracle: the regularized incomplete gamma P(a, x) behind the alpha-mu CDFs,
+oracle: the regularized incomplete gamma P(a, x) behind the alpha-mu CDF,
 its inverse behind the Monte-Carlo sampler, the lower incomplete gamma
 (Meijer-G) kernel, the Gauss-Hermite rule of `asep` and its adaptive-Simpson
 cross-check.
@@ -17,18 +17,19 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from oracles import lower_gamma, mellin_barnes_lower_gamma
+from oracles import alpha_mu_envelope_cdf, lower_gamma, mellin_barnes_lower_gamma
 from scipy.special import gammaincinv, roots_hermite
 
 from relaylink import analysis, mcsim
-from relaylink.channels import AlphaMuParams, alpha_mu_envelope_cdf
+from relaylink.channels import AlphaMuParams
 from relaylink.mcsim import _alpha_mu_bulk, _gamma_quantile
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 def reg_lower_inc_gamma(a, x):
-    """P(a, x) through the library's envelope CDF (alpha = 1, Omega = a)."""
+    """P(a, x) through the library's alpha-mu CDF in envelope form (alpha = 1,
+    Omega = a)."""
     return alpha_mu_envelope_cdf(1.0, a, a, x)
 
 
