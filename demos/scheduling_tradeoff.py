@@ -6,12 +6,11 @@ target outage of 1e-3, then shows that adding source nodes beyond K ~ 5 buys
 essentially nothing once the relay-destination hops limit performance.
 """
 
-import dataclasses
-
 from relaylink import (
     AlphaMuParams,
     SchedulingSpec,
     SystemConfig,
+    configure,
     total_outage,
 )
 
@@ -23,20 +22,10 @@ def config(k, n, alpha, mu, snr=1.0):
                         gamma_th=1.0)
 
 
-def at_db(c, db):
-    snr = 10.0 ** (db / 10.0)
-    sched = dataclasses.replace(c.scheduling, uplink_mean_snr=snr,
-                                downlink_mean_snr=snr)
-    return dataclasses.replace(
-        c, scheduling=sched,
-        sr_model=dataclasses.replace(c.sr_model, mean_snr=snr),
-        rs_model=dataclasses.replace(c.rs_model, mean_snr=snr))
-
-
 def snr_db_at(c, target, lo=0.0, hi=90.0):
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if total_outage(at_db(c, mid)).value > target:
+        if total_outage(configure(c, "mean_snr_db", mid)).value > target:
             lo = mid
         else:
             hi = mid

@@ -21,7 +21,6 @@ from .channels import AlphaMuParams, GammaGammaParams
 from .errors import NonConvergenceError, QuadratureFailureError
 from .ggfit import (
     FitDiagnostics,
-    FitOptions,
     FitResult,
     fit_alpha_mu,
     fit_diagnostics,
@@ -32,7 +31,7 @@ from .selection import SchedulingSpec
 
 __all__ = [
     "AlphaMuParams", "AsymptoticReport", "DEFAULT_SEED", "FitDiagnostics",
-    "FitOptions", "FitResult", "GammaGammaParams", "McConfig",
+    "FitResult", "GammaGammaParams", "McConfig",
     "NonConvergenceError", "PerfEstimate", "QuadratureFailureError",
     "Scenario", "ScenarioError", "SchedulingSpec", "SweepRow", "SystemConfig",
     "asep", "asymptotic_outage", "classify_asymptotics", "configure",

@@ -49,8 +49,9 @@ class GammaGammaParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.eta > 0 and self.beta > 0):
-            raise ValueError(f"eta, beta must be positive, got ({self.eta}, {self.beta})")
+        if not (0 < self.eta < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(
+                f"eta, beta must be finite and positive, got ({self.eta}, {self.beta})")
 
 
 def _nonneg(name, x):

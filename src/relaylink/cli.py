@@ -165,10 +165,6 @@ def _write_csv(path, header, rows):
 
 
 def cmd_fit(args) -> int:
-    if args.eta is None or args.beta is None or args.eta <= 0 or args.beta <= 0:
-        print("relaylink fit: error: --eta and --beta must be positive",
-              file=sys.stderr)
-        return EXIT_USAGE
     gg = GammaGammaParams(eta=args.eta, beta=args.beta)
     try:
         fit = fit_alpha_mu(gg)

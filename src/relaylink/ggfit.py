@@ -3,9 +3,9 @@ alpha-mu distribution.
 
 The first three moments of both laws are equated. The envelope scale rho_bar
 is eliminated through the first-moment equation, leaving two scale-free
-moment-ratio equations in (alpha, mu) that are solved by damped Newton with a
-numerical Jacobian; a coarse log-grid search plus Newton polish is the
-fallback when Newton diverges.
+moment-ratio equations. They are solved in (log alpha, log mu), on the log
+ratios, by Newton's method with the exact digamma Jacobian and a halving line
+search, started at the alpha = 1 law with the same second-moment ratio.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, psi
 
 from .channels import (
     AlphaMuParams,
@@ -24,16 +25,8 @@ from .channels import (
 )
 from .errors import NonConvergenceError
 
-
-@dataclass(frozen=True)
-class FitOptions:
-    tol: float = 1e-8
-    max_iter: int = 200
-    initial: tuple = (2.0, 1.5)
-    # fallback grid; mu range is wide because weak-turbulence roots sit near mu ~ 40
-    grid_alpha: tuple = (0.2, 6.0)
-    grid_mu: tuple = (0.2, 200.0)
-    grid_points: int = 60
+TOL = 1e-8  # on the largest relative residual of the three moment equations
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -59,49 +52,63 @@ def _am_core(alpha, mu, n):
                     - math.lgamma(mu))
 
 
-def _am_ratio(alpha, mu, n):
-    # E[X^n] / E[X]^n, independent of the envelope scale
-    return math.exp(math.lgamma(mu + n / alpha) - n * math.lgamma(mu + 1.0 / alpha)
-                    + (n - 1.0) * math.lgamma(mu))
+def _log_ratio_residual(x, log_r):
+    """F_n = log(E[X^n] / E[X]^n) - log r_n for n = 2, 3 and its Jacobian,
+    both in x = (log alpha, log mu)."""
+    a, m = np.exp(x)
+    s = m + np.array([1.0, 2.0, 3.0]) / a
+    lg, dg = gammaln(s), psi(s)
+    lg_m, dg_m = gammaln(m), psi(m)
+    n = np.array([2.0, 3.0])
+    f = lg[1:] + (n - 1.0) * lg_m - n * lg[0] - log_r
+    jac = np.column_stack([n / a * (dg[0] - dg[1:]),
+                           m * (dg[1:] + (n - 1.0) * dg_m - n * dg[0])])
+    return f, jac
 
 
-def fit_alpha_mu(p: GammaGammaParams, opts: FitOptions = FitOptions()) -> FitResult:
+def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
     """Fit (alpha, mu, rho_bar) so the first three alpha-mu moments match the
     Gamma-Gamma moments of p. Raises NonConvergenceError (with the best
-    iterate attached) if the residual stays above tolerance."""
-    g1 = gamma_gamma_moment(p, 1)
-    r2 = gamma_gamma_moment(p, 2) / g1 ** 2
-    r3 = gamma_gamma_moment(p, 3) / g1 ** 3
+    iterate attached) if the residual stays above TOL."""
+    # E[X^n] of the unit-mean Gamma-Gamma law is prod_{k<n} (1 + k/eta)(1 + k/beta)
+    log_r = np.cumsum([math.log1p(k / p.eta) + math.log1p(k / p.beta) for k in (1, 2)])
+    iters = 0
+    with np.errstate(all="ignore"):  # an infeasible trial point gives inf or nan, rejected
+        # start at the alpha = 1 law with the same second-moment ratio 1 + 1/mu
+        x = np.log([1.0, 1.0 / np.expm1(log_r[0])])
+        f, jac = _log_ratio_residual(x, log_r)
+        # Newton down to the rounding floor, not just to TOL: the equations are
+        # ill-conditioned in weak turbulence, where |F| = 1e-11 leaves mu 1e-8 off.
+        # Within TOL only full steps are taken, so the floor ends it at once.
+        while iters < MAX_ITER and np.any(f):
+            try:
+                dx = np.linalg.solve(jac, -f)
+            except np.linalg.LinAlgError:
+                break
+            step = 1.0
+            for _ in range(60 if np.max(np.abs(f)) > TOL else 1):  # halve until the norm drops
+                xn = x + step * dx
+                fn, jn = _log_ratio_residual(xn, log_r)
+                if np.all(np.isfinite(fn)) and np.linalg.norm(fn) < np.linalg.norm(f):
+                    break
+                step *= 0.5
+            else:
+                break
+            x, f, jac = xn, fn, jn
+            iters += 1
+        alpha, mu = (float(v) for v in np.exp(x))
 
-    def resid(x):
-        try:
-            a, m = math.exp(x[0]), math.exp(x[1])
-            return np.array([_am_ratio(a, m, 2) / r2 - 1.0,
-                             _am_ratio(a, m, 3) / r3 - 1.0])
-        except OverflowError:
-            # probe point far outside the feasible region; reject in line search
-            return np.array([math.inf, math.inf])
-
-    # trial points far from the root give huge finite residuals whose norm
-    # overflows to inf; the solvers already reject those, so the overflow is
-    # expected and must not surface as a RuntimeWarning
-    with np.errstate(over="ignore"):
-        x, r, iters = _damped_newton(resid, np.log(np.array(opts.initial)), opts)
-        if np.max(np.abs(r)) > opts.tol:
-            x_grid = _grid_best(resid, opts)
-            x2, r2_, it2 = _damped_newton(resid, x_grid, opts)
-            if np.max(np.abs(r2_)) < np.max(np.abs(r)):
-                x, r, iters = x2, r2_, iters + it2
-
-    alpha, mu = math.exp(x[0]), math.exp(x[1])
-    rho_bar = _am_core(alpha, mu, 1) / g1  # scale from the first moment: E[X] = core(1) / rho_bar
-    residual_norm = _full_residual(p, alpha, mu, rho_bar)
-    converged = residual_norm <= opts.tol
+    try:
+        rho_bar = _am_core(alpha, mu, 1) / gamma_gamma_moment(p, 1)  # E[X] = core(1) / rho_bar
+        residual_norm = _full_residual(p, alpha, mu, rho_bar)
+    except (ArithmeticError, ValueError):  # the moments leave the float range
+        rho_bar, residual_norm = math.nan, math.inf
+    converged = residual_norm <= TOL
     result = FitResult(alpha, mu, rho_bar, residual_norm, iters, converged)
     if not converged:
         raise NonConvergenceError(
             f"fit_alpha_mu(eta={p.eta}, beta={p.beta}): residual {residual_norm:.3e} "
-            f"> tol {opts.tol:.1e}", best=result)
+            f"> tol {TOL:.1e}", best=result)
     return result
 
 
@@ -113,47 +120,6 @@ def _full_residual(p, alpha, mu, rho_bar):
         rhs = gamma_gamma_moment(p, n)
         worst = max(worst, abs(lhs / rhs - 1.0))
     return worst
-
-
-def _damped_newton(resid, x0, opts):
-    x = np.asarray(x0, dtype=float)
-    r = resid(x)
-    iters = 0
-    for iters in range(1, opts.max_iter + 1):
-        if np.max(np.abs(r)) <= opts.tol:
-            break
-        jac = np.empty((2, 2))
-        h = 1e-7
-        for j in range(2):
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (resid(xp) - r) / h
-        try:
-            dx = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        step = 1.0
-        for _ in range(60):  # halve until the residual norm decreases
-            rn = resid(x + step * dx)
-            if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < np.linalg.norm(r):
-                x = x + step * dx
-                r = rn
-                break
-            step *= 0.5
-        else:
-            break
-    return x, r, iters
-
-
-def _grid_best(resid, opts):
-    best_x, best_norm = None, math.inf
-    for la in np.log(np.geomspace(*opts.grid_alpha, opts.grid_points)):
-        for lm in np.log(np.geomspace(*opts.grid_mu, opts.grid_points)):
-            r = resid(np.array([la, lm]))
-            norm = np.linalg.norm(r)
-            if np.isfinite(norm) and norm < best_norm:
-                best_norm, best_x = norm, np.array([la, lm])
-    return best_x
 
 
 def fit_diagnostics(fit: FitResult, p: GammaGammaParams, draws: int,

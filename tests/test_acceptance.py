@@ -117,7 +117,7 @@ def _moment_ratio_residual(eta, beta, alpha, mu):
 
 
 def test_criterion_1_published_fit_table():
-    """Fitted (alpha, mu) within 1e-5 relative of the mpmath root of the
+    """Fitted (alpha, mu) within 1e-9 relative of the mpmath root of the
     moment system for all five turbulence rows (the test first checks each
     root to <= 1e-20), within +/-0.05 of the published pair where that pair
     is a moment fit, residuals <= 1e-8, under 1 second total."""
@@ -134,11 +134,11 @@ def test_criterion_1_published_fit_table():
         if fit.residual_norm > 1e-8:
             failures.append(f"{name}: residual {fit.residual_norm:.2e} > 1e-8")
         alpha_ref, mu_ref = float(alpha_ref), float(mu_ref)
-        if (abs(fit.alpha / alpha_ref - 1.0) > 1e-5
-                or abs(fit.mu / mu_ref - 1.0) > 1e-5):
+        if (abs(fit.alpha / alpha_ref - 1.0) > 1e-9
+                or abs(fit.mu / mu_ref - 1.0) > 1e-9):
             failures.append(
-                f"{name}: fitted (alpha={fit.alpha:.6f}, mu={fit.mu:.6f}) vs "
-                f"oracle ({alpha_ref:.6f}, {mu_ref:.6f}) beyond 1e-5 relative")
+                f"{name}: fitted (alpha={fit.alpha:.12g}, mu={fit.mu:.12g}) vs "
+                f"oracle ({alpha_ref:.12g}, {mu_ref:.12g}) beyond 1e-9 relative")
         if pub_is_fit and (abs(fit.alpha - alpha_pub) > 0.05
                            or abs(fit.mu - mu_pub) > 0.05):
             failures.append(
@@ -148,7 +148,7 @@ def test_criterion_1_published_fit_table():
         failures.append(f"runtime {elapsed:.2f}s >= 1s")
     _report(1, not failures,
             failures[0] + f" (+{len(failures) - 1} more)" if failures
-            else "all five rows within 1e-5 of the moment-system oracle, "
+            else "all five rows within 1e-9 of the moment-system oracle, "
                  "severe (b) within +/-0.05 of its published pair, "
                  "residuals <= 1e-8")
     assert not failures, "\n".join(failures)

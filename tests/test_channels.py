@@ -298,5 +298,6 @@ def test_fading_model_invariants():
     for bad in ((0.0, 1.0, 1.0), (2.0, -1.0, 1.0), (2.0, 1.0, 0.0)):
         with pytest.raises(ValueError):
             AlphaMuParams(*bad)
-    with pytest.raises(ValueError):
-        GammaGammaParams(0.0, 1.0)
+    for bad in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GammaGammaParams(*bad)

@@ -1,17 +1,17 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import alpha_mu_moment
 
+from relaylink import ggfit
 from relaylink.channels import GammaGammaParams, gamma_gamma_moment
 from relaylink.errors import NonConvergenceError
-from relaylink.ggfit import (
-    FitOptions,
-    fit_alpha_mu,
-    fit_diagnostics,
-)
+from relaylink.ggfit import fit_alpha_mu, fit_diagnostics
 
 TURBULENCE_PAIRS = [
     (21.5, 19.8),   # very weak
@@ -22,8 +22,7 @@ TURBULENCE_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("eta,beta", TURBULENCE_PAIRS)
-def test_fit_converges_and_is_self_consistent(eta, beta):
+def _assert_moments_match(eta, beta):
     fit = fit_alpha_mu(GammaGammaParams(eta, beta))
     assert fit.converged
     assert fit.residual_norm <= 1e-8
@@ -33,6 +32,29 @@ def test_fit_converges_and_is_self_consistent(eta, beta):
     for n in (1, 2, 3):
         lhs = alpha_mu_moment(fit.alpha, fit.mu, fit.rho_bar, n)
         assert lhs == pytest.approx(gamma_gamma_moment(p, n), rel=1e-8)
+
+
+@pytest.mark.parametrize("eta,beta", TURBULENCE_PAIRS)
+def test_fit_converges_and_is_self_consistent(eta, beta):
+    _assert_moments_match(eta, beta)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(log_eta=st.floats(-3.0, 4.0), log_beta=st.floats(-3.0, 4.0))
+def test_fit_converges_over_log_uniform_domain(log_eta, log_beta):
+    _assert_moments_match(10.0 ** log_eta, 10.0 ** log_beta)
+
+
+@pytest.mark.parametrize("eta,beta", itertools.product([1e-300, 1e-20, 1e12, 1e300],
+                                                       repeat=2))
+def test_fit_extreme_pairs_fail_only_by_nonconvergence(eta, beta):
+    # moments that leave the float range surface as NonConvergenceError
+    try:
+        fit = fit_alpha_mu(GammaGammaParams(eta, beta))
+    except NonConvergenceError as err:
+        assert err.best.converged is False
+    else:
+        assert fit.converged
 
 
 @pytest.mark.parametrize("eta,beta", TURBULENCE_PAIRS)
@@ -106,16 +128,16 @@ def test_fit_diagnostics_requires_convergence():
 
 
 def test_fit_grid_fallback_reaches_extreme_pair():
-    # a pair whose root lies far from the (2, 1.5) starting point
+    # weak turbulence: the root (alpha ~ 0.5, mu ~ 90) lies far from the
+    # alpha = 1 start, with no fallback to help
     fit = fit_alpha_mu(GammaGammaParams(50.0, 45.0))
     assert fit.converged and fit.residual_norm <= 1e-8
 
 
-def test_nonconvergence_carries_best_iterate():
-    opts = FitOptions(tol=1e-8, max_iter=1,
-                      grid_alpha=(0.5, 0.6), grid_mu=(0.5, 0.6), grid_points=2)
+def test_nonconvergence_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(ggfit, "MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as err:
-        fit_alpha_mu(GammaGammaParams(21.5, 19.8), opts)
+        fit_alpha_mu(GammaGammaParams(21.5, 19.8))
     assert err.value.best is not None
     assert err.value.best.converged is False
 

@@ -1,15 +1,26 @@
 """Values pinned bit for bit, compared by repr: the fit diagnostic of the five
-criterion-1 turbulence rows at a fixed seed, and the high-SNR outage and its
-classification on configurations with mixed hops and N > 1. A rewrite of the
-alpha-mu CDF or of the high-SNR term table that changes any bit fails here."""
+criterion-1 turbulence rows at fixed fitted parameters and a fixed seed, and
+the high-SNR outage and its classification on configurations with mixed hops
+and N > 1. A rewrite of the alpha-mu CDF or of the high-SNR term table that
+changes any bit fails here."""
 
 import numpy as np
 import pytest
 
 from relaylink.analysis import SystemConfig, asymptotic_outage, classify_asymptotics
 from relaylink.channels import AlphaMuParams, GammaGammaParams
-from relaylink.ggfit import fit_alpha_mu, fit_diagnostics
+from relaylink.ggfit import FitResult, fit_diagnostics
 from relaylink.selection import SchedulingSpec
+
+# (eta, beta): fitted (alpha, mu, rho_bar) that the diagnostics below are pinned
+# at; criterion 1 of the acceptance suite pins the fit itself
+FITTED = {
+    (21.5, 19.8): (0.5007048857891302, 40.62157205643522, 1.024512887707613),
+    (9.7, 8.2): (0.5025396494980429, 17.1148561572114, 1.0575320121154574),
+    (8.65, 7.14): (0.5032302983760161, 14.96867523973583, 1.0655022456738297),
+    (4.0, 1.84): (0.5373201817338552, 4.003431888223959, 1.1976252253430701),
+    (4.34, 1.3): (0.5802679291324885, 2.702867182674198, 1.2229713417239703),
+}
 
 # (eta, beta): (ks_distance, fourth_moment_rel_error) of 200,000 draws, seed 20240915
 FIT_DIAGNOSTICS = {
@@ -44,7 +55,8 @@ ASYMPTOTICS = {
 @pytest.mark.parametrize("eta,beta", list(FIT_DIAGNOSTICS))
 def test_fit_diagnostics_pinned(eta, beta):
     p = GammaGammaParams(eta, beta)
-    diag = fit_diagnostics(fit_alpha_mu(p), p, 200_000, np.random.default_rng(20240915))
+    fit = FitResult(*FITTED[(eta, beta)], residual_norm=0.0, iterations=0, converged=True)
+    diag = fit_diagnostics(fit, p, 200_000, np.random.default_rng(20240915))
     got = (repr(diag.ks_distance), repr(diag.fourth_moment_rel_error))
     assert got == tuple(map(repr, FIT_DIAGNOSTICS[(eta, beta)]))
 

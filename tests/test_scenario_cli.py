@@ -143,7 +143,8 @@ def test_cli_fit_report(capsys):
     assert out["alpha"] > 0 and out["mu"] > 0
 
 
-@pytest.mark.parametrize("eta,beta", [("0.01", "0.01"), ("0.2", "5")])
+@pytest.mark.parametrize("eta,beta", [("0.01", "0.01"), ("0.2", "5"), ("1", "0.05"),
+                                      ("0.2", "0.2")])
 def test_cli_fit_rejected_by_ks_exits_3(eta, beta, capsys):
     # the moments are met, but the fitted law misses the Gamma-Gamma one
     assert cli.main(["fit", "--eta", eta, "--beta", beta, "--json"]) == 3
@@ -165,6 +166,8 @@ def test_cli_fit_turbulence_rows_pass_ks(eta, beta, capsys):
 
 def test_cli_fit_bad_args(capsys):
     assert cli.main(["fit", "--eta", "0", "--beta", "1"]) == 1
+    assert cli.main(["fit", "--eta", "inf", "--beta", "2"]) == 1
+    assert "eta, beta must be finite and positive" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         cli.main(["fit", "--eta", "1"])
     assert err.value.code == 1
