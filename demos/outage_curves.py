@@ -12,6 +12,7 @@ from relaylink import (
     SchedulingSpec,
     SystemConfig,
     classify_asymptotics,
+    configure,
     sweep,
 )
 
@@ -34,7 +35,8 @@ def main():
         print(f"\n{name}: diversity order {report.diversity_order:g} "
               f"(dominant high-SNR terms: {sorted(report.dominant)})")
         print(f"{'SNR dB':>7} {'exact':>12} {'asymptotic':>12} {'monte carlo':>12}")
-        for row in sweep(c, "mean_snr_db", grid, mc=mc):
+        points = [(db, configure(c, "mean_snr_db", db)) for db in grid]
+        for row in sweep(points, mc=mc):
             asym = f"{row.asymptotic.value:.4e}" if row.asymptotic else "-"
             print(f"{row.value:>7.0f} {row.exact.value:>12.4e} {asym:>12} "
                   f"{row.mc.value:>12.4e}")

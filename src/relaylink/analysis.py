@@ -211,7 +211,10 @@ def asymptotic_outage(c: SystemConfig) -> PerfEstimate:
     lam_gth = c.gamma_th / _require_equal_snrs(c)
     value = 0.0  # a loop, not sum(): from Python 3.12 sum() compensates, changing bits
     for order, coef in _outage_terms(c):
-        value += coef * lam_gth ** order
+        try:
+            value += coef * lam_gth ** order
+        except OverflowError:  # lam_gth ** order beyond the float range; coef > 0.7
+            return PerfEstimate(1.0, method="asymptotic")
     return PerfEstimate(min(value, 1.0), method="asymptotic")
 
 
@@ -249,61 +252,61 @@ class SweepRow:
     mc: PerfEstimate | None
 
 
-_SWEEP_VARIABLES = ("mean_snr_db", "K", "N", "gamma_th")
+def _checked(metric: str) -> str:
+    if metric not in ("outage", "asep"):
+        raise ValueError(f"metric must be 'outage' or 'asep', got {metric!r}")
+    return metric
 
 
-def evaluate(c: SystemConfig, value, metric: str = "outage", mc=None) -> SweepRow:
-    """The curve row of c at the swept value: metric "outage" gives the exact
-    outage and its asymptote (None for unequal SNR scales), "asep" the ASEP by
-    quadrature. mc is an optional McConfig adding a Monte-Carlo estimate."""
-    from . import mcsim  # here, not at the top: mcsim imports this module
-    if metric == "outage":
-        exact, simulate = total_outage(c), mcsim.simulate_outage
+def evaluate(c: SystemConfig, value, metric: str = "outage") -> SweepRow:
+    """The analytic curve row of c at the swept value: metric "outage" gives
+    the exact outage and its asymptote (None for unequal SNR scales, or a
+    term coefficient beyond the float range), "asep" the ASEP by quadrature."""
+    if _checked(metric) == "outage":
+        exact = total_outage(c)
         try:
             asym = asymptotic_outage(c)
-        except ValueError:
+        except (ValueError, OverflowError):
             asym = None
-    elif metric == "asep":
-        exact, asym, simulate = asep(c), None, mcsim.simulate_asep
     else:
-        raise ValueError(f"metric must be 'outage' or 'asep', got {metric!r}")
-    return SweepRow(value=float(value), exact=exact, asymptotic=asym,
-                    mc=None if mc is None else simulate(c, mc))
+        exact, asym = asep(c), None
+    return SweepRow(value=float(value), exact=exact, asymptotic=asym, mc=None)
 
 
-def sweep(c: SystemConfig, variable: str, grid, metric: str = "outage",
-          mc=None) -> list[SweepRow]:
-    """evaluate() at configure(c, variable, g) for each g of the grid, with
-    the Monte-Carlo column of sweep_mc."""
-    grid = list(grid)
-    rows = [evaluate(configure(c, variable, g), g, metric) for g in grid]
-    if mc is None:
-        return rows
-    return [dataclasses.replace(row, mc=est)
-            for row, est in zip(rows, sweep_mc(c, variable, grid, metric, mc))]
+def sweep(points, metric: str = "outage", mc=None):
+    """The curve rows of points, (value, SystemConfig) pairs: an iterator
+    that evaluate()s each row as it is read. mc, an optional McConfig, adds
+    the Monte-Carlo column, which is computed in full by this call, from as
+    few passes as the points allow (`_mc_column`)."""
+    _checked(metric)
+    points = list(points)
+    column = [None] * len(points) if mc is None else _mc_column(points, metric, mc)
+    return (dataclasses.replace(evaluate(c, value, metric), mc=est)
+            for (value, c), est in zip(points, column))
 
 
-def sweep_mc(c: SystemConfig, variable: str, grid, metric: str, mc) -> list[PerfEstimate]:
-    """The Monte-Carlo estimate at configure(c, variable, g) for each g of
-    the grid, equal bit for bit to evaluate()'s, from as few passes as the
-    points allow: outage points that share K share one draw, and the ASEP
-    points of a mean_snr_db sweep one pass at unit scale. Other points run
-    one by one."""
+def _mc_column(points, metric: str, mc) -> list[PerfEstimate]:
+    """The Monte-Carlo estimate of each point, equal bit for bit to a run of
+    its config alone. Outage points that share K share one draw; ASEP points
+    whose four link scales are equal share one pass at their unit-scale
+    config; any other ASEP point is a pass of its own config at scale 1."""
     from . import mcsim  # here, not at the top: mcsim imports this module
-    grid = list(grid)
-    points = [configure(c, variable, g) for g in grid]
-    if not points:
-        return []
-    if metric == "outage":
-        if variable == "K":
-            return [mcsim.simulate_outage(p, mc) for p in points]
-        return mcsim.simulate_outage_grid(points, mc)
-    if metric == "asep":
-        if variable == "mean_snr_db":
-            return mcsim.simulate_asep_grid(configure(c, variable, 0.0),
-                                            [db_to_linear(g) for g in grid], mc)
-        return [mcsim.simulate_asep(p, mc) for p in points]
-    raise ValueError(f"metric must be 'outage' or 'asep', got {metric!r}")
+    groups = {}  # pass key -> [(index, config or scale)]
+    for i, (_, c) in enumerate(points):
+        if metric == "outage":
+            groups.setdefault(c.scheduling.k_total, []).append((i, c))
+        elif len(set(snrs := c.all_mean_snrs())) == 1:  # at unit scale, scale snrs[0]
+            groups.setdefault(configure(c, "mean_snr_db", 0.0), []).append((i, snrs[0]))
+        else:
+            groups.setdefault(c, []).append((i, 1.0))
+    column = [None] * len(points)
+    for key, members in groups.items():
+        index, args = zip(*members)
+        estimates = (mcsim.simulate_outage_grid(args, mc) if metric == "outage"
+                     else mcsim.simulate_asep_grid(key, args, mc))
+        for i, est in zip(index, estimates):
+            column[i] = est
+    return column
 
 
 def db_to_linear(x_db: float) -> float:
@@ -333,4 +336,4 @@ def configure(c: SystemConfig, variable: str, value) -> SystemConfig:
             c, scheduling=dataclasses.replace(c.scheduling, n_order=int(value)))
     if variable == "gamma_th":
         return dataclasses.replace(c, gamma_th=float(value))
-    raise ValueError(f"variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
+    raise ValueError(f"variable must be mean_snr_db, K, N or gamma_th, got {variable!r}")

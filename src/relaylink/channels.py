@@ -34,11 +34,9 @@ class AlphaMuParams:
     mean_snr: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.mu > 0 and self.mean_snr > 0):
-            raise ValueError(
-                f"alpha, mu, mean_snr must be positive, got "
-                f"({self.alpha}, {self.mu}, {self.mean_snr})"
-            )
+        if not (0 < self.alpha < math.inf and 0 < self.mu < math.inf and self.mean_snr > 0):
+            raise ValueError(f"alpha, mu must be finite and positive and mean_snr positive, "
+                             f"got ({self.alpha}, {self.mu}, {self.mean_snr})")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ Subcommands:
     asep    SCENARIO [--sweep-snr a:b:s] ... symbol-error CSV (quadrature/MC)
     ksweep  SCENARIO --k A..B [--n-equals-k] outage vs number of nodes
 
-outage and asep share one handler over analysis.evaluate, the evaluator that
-analysis.sweep maps over a grid, and take a sweep's Monte-Carlo column from
-analysis.sweep_mc, one pass over the whole grid. A negative START is written
+outage, asep and ksweep build their (value, SystemConfig) points and take
+every row from analysis.sweep, which computes the Monte-Carlo column first,
+in as few passes as the points allow. A negative START is written
 --sweep-snr=-10:0:2, since argparse reads "-10:..." as an option.
 
 Exit codes: 0 success, 1 usage or scenario error (including a --sweep-snr grid
@@ -223,29 +223,25 @@ def _selfcheck_failure(row):
 
 
 def cmd_curve(args) -> int:
-    """outage and asep: one CSV row per mean-SNR point, from analysis.evaluate.
-    A sweep's Monte-Carlo column comes first, from one pass over its grid
-    (analysis.sweep_mc), so that each progress line marks a finished row."""
+    """outage and asep: one CSV row per mean-SNR point, from analysis.sweep.
+    Its Monte-Carlo column comes first, from as few passes as the points
+    allow, so that each progress line marks a finished row."""
     metric = args.command
     sc = load_scenario(args.scenario)
     mc_cfg = _mc_config(args, sc.mc)
-    sims = None
     if args.sweep_snr is None:
         # single point at the scenario's own (possibly unequal) link SNRs
         points = [(linear_to_db(sc.system.scheduling.uplink_mean_snr), sc.system)]
     else:
-        grid = _parse_snr_sweep(args.sweep_snr)
-        points = [(db, analysis.configure(sc.system, "mean_snr_db", db)) for db in grid]
-        if mc_cfg is not None:
-            sims = analysis.sweep_mc(sc.system, "mean_snr_db", grid, metric, mc_cfg)
+        points = [(db, analysis.configure(sc.system, "mean_snr_db", db))
+                  for db in _parse_snr_sweep(args.sweep_snr)]
+    sweep = analysis.sweep(points, metric, mc_cfg)
     rows, failures = [], []
-    for i, (db, cfg) in enumerate(points):
+    for i, (db, _) in enumerate(points):
         try:
-            row = analysis.evaluate(cfg, db, metric, mc_cfg if sims is None else None)
+            row = next(sweep)
         except QuadratureFailureError as exc:
             raise QuadratureFailureError(f"at {db!r} dB: {exc}") from exc
-        if sims is not None:
-            row = dataclasses.replace(row, mc=sims[i])
         cols = [row.value, row.exact.value]
         if metric == "outage":
             cols.append(row.asymptotic.value if row.asymptotic else None)
@@ -275,17 +271,16 @@ def _parse_k_range(spec: str):
 
 def cmd_ksweep(args) -> int:
     sc = load_scenario(args.scenario)
-    ks = _parse_k_range(args.k)
-    rows = []
-    for k in ks:
+    points = []
+    for k in _parse_k_range(args.k):
         n = k if args.n_equals_k else sc.system.scheduling.n_order
         if n > k:
             raise ScenarioError(
                 f"scenario n_order={n} exceeds K={k}; "
                 f"raise the lower --k bound or use --n-equals-k")
         sched = dataclasses.replace(sc.system.scheduling, k_total=k, n_order=n)
-        cfg = dataclasses.replace(sc.system, scheduling=sched)
-        rows.append([k, analysis.total_outage(cfg).value])
+        points.append((k, dataclasses.replace(sc.system, scheduling=sched)))
+    rows = [[k, row.exact.value] for (k, _), row in zip(points, analysis.sweep(points))]
     _write_csv(args.out, ["K", "outage_exact"], rows)
     return EXIT_OK
 

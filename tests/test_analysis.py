@@ -201,6 +201,16 @@ def test_asymptotic_direct_evaluation():
     assert asymptotic_outage(c).value == pytest.approx(0.04, abs=1e-15)
     # exact value for comparison: 1 - e^{-0.04}, relative gap ~2.1%
     assert abs(asymptotic_outage(c).value / total_outage(c).value - 1.0) < 0.025
+    # far below the high-SNR regime a term overflows (100**400 here): the
+    # value is the cap, as it is for terms that sum past 1
+    far = config(k=400, n=1, alpha=2.0, mu=2.0, snr=1.0, gamma_th=100.0)
+    assert asymptotic_outage(far).value == 1.0
+    # an uplink coefficient C(K, N - 1) beyond the float range has no float
+    # asymptote: a curve row leaves it out rather than fail
+    wide = config(k=1100, n=550, alpha=2.0, mu=2.0, snr=10.0)
+    with pytest.raises(OverflowError):
+        asymptotic_outage(wide)
+    assert analysis.evaluate(wide, 10.0).asymptotic is None
 
 
 def test_asymptotic_vanishing_threshold():
@@ -350,9 +360,14 @@ def test_core_emits_no_warnings():
 
 # ---------------------------------------------------------------- sweep
 
+def points(base, variable, grid):
+    """The (value, config) pairs of a one-variable sweep of base."""
+    return [(g, analysis.configure(base, variable, g)) for g in grid]
+
+
 def test_sweep_snr_monotone_and_asymptotic_column():
     base = config(k=3, n=2, alpha=2.0, mu=2.0)
-    rows = sweep(base, "mean_snr_db", np.arange(0.0, 41.0, 5.0))
+    rows = list(sweep(points(base, "mean_snr_db", np.arange(0.0, 41.0, 5.0))))
     vals = [r.exact.value for r in rows]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
     assert all(r.asymptotic is not None for r in rows)
@@ -361,20 +376,20 @@ def test_sweep_snr_monotone_and_asymptotic_column():
 
 def test_sweep_k_nonincreasing_for_best_selection():
     base = config(k=1, n=1, alpha=2.0, mu=2.0, snr=10.0)
-    rows = sweep(base, "K", range(1, 11))
+    rows = list(sweep(points(base, "K", range(1, 11))))
     vals = [r.exact.value for r in rows]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_sweep_k_saturates_beyond_five():
     base = config(k=1, n=1, alpha=2.0, mu=2.0, snr=10.0)
-    rows = sweep(base, "K", range(1, 11))
+    rows = list(sweep(points(base, "K", range(1, 11))))
     assert rows[4].exact.value / rows[9].exact.value < 1.05
 
 
 def test_sweep_gamma_th_nondecreasing():
     base = config(k=2, n=1, alpha=2.0, mu=2.0, snr=10.0)
-    rows = sweep(base, "gamma_th", np.linspace(0.1, 5.0, 12))
+    rows = list(sweep(points(base, "gamma_th", np.linspace(0.1, 5.0, 12))))
     vals = [r.exact.value for r in rows]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -382,15 +397,17 @@ def test_sweep_gamma_th_nondecreasing():
 def test_sweep_with_mc_column():
     from relaylink.mcsim import McConfig
     base = config(k=2, n=1, alpha=2.0, mu=2.0, snr=3.0)
-    rows = sweep(base, "mean_snr_db", [0.0, 10.0], mc=McConfig(trials=50_000))
+    rows = list(sweep(points(base, "mean_snr_db", [0.0, 10.0]),
+                      mc=McConfig(trials=50_000)))
     for r in rows:
         assert r.mc is not None and r.mc.method == "monte_carlo"
         assert abs(r.mc.value - r.exact.value) < 5.0 * r.mc.std_error
 
 
 def test_sweep_rejects_unknown_variable():
-    with pytest.raises(ValueError):
-        sweep(config(**ALL_EXP), "bandwidth", [1, 2])
+    # configure holds the one dispatch on the swept variable
+    with pytest.raises(ValueError, match="variable"):
+        sweep(points(config(**ALL_EXP), "bandwidth", [1, 2]))
 
 
 def test_configure_and_evaluate_reject_bad_input():
@@ -402,35 +419,66 @@ def test_configure_and_evaluate_reject_bad_input():
             analysis.configure(c, "mean_snr_db", db)
     with pytest.raises(ValueError, match="metric"):
         analysis.evaluate(c, 0.0, "capacity")
-    with pytest.raises(ValueError, match="metric"):
-        sweep(c, "mean_snr_db", [0.0], metric="capacity")
+    with pytest.raises(ValueError, match="metric"):  # at the call, before any row is read
+        sweep(points(c, "mean_snr_db", [0.0]), metric="capacity")
 
 
 def test_sweep_asep_equals_per_point_asep_bit_for_bit():
     base = config(k=3, n=2, alpha=2.0, mu=2.0)
     grid = [0.0, 7.5, 15.0, 30.0]
-    rows = sweep(base, "mean_snr_db", grid, metric="asep")
+    rows = list(sweep(points(base, "mean_snr_db", grid), metric="asep"))
     assert [r.value for r in rows] == grid
     for db, row in zip(grid, rows):
         expected = asep(analysis.configure(base, "mean_snr_db", db))
         assert row.exact == expected and row.exact.method == "quadrature"
         assert row.asymptotic is None and row.mc is None
     base = config(k=4, n=1, alpha=2.0, mu=1.5, snr=10.0)
-    rows = sweep(base, "K", range(1, 5), metric="asep")
+    rows = list(sweep(points(base, "K", range(1, 5)), metric="asep"))
     assert [r.exact.value for r in rows] == [
         asep(analysis.configure(base, "K", k)).value for k in range(1, 5)]
 
 
-# the MC grid of sweep() against evaluate() point by point: (trials,
-# batch, workers), with a batch that divides neither the trials nor the
-# chunk, and blocks of more than one chunk
+def scaled(c, up, down, sr, rs):
+    """c with its four link scales set one by one."""
+    return dataclasses.replace(
+        c, scheduling=dataclasses.replace(c.scheduling, uplink_mean_snr=up,
+                                          downlink_mean_snr=down),
+        sr_model=dataclasses.replace(c.sr_model, mean_snr=sr),
+        rs_model=dataclasses.replace(c.rs_model, mean_snr=rs))
+
+
+# the MC column of sweep() against simulate_outage / simulate_asep point by
+# point: (trials, batch, workers), with a batch that divides neither the
+# trials nor the chunk, and blocks of more than one chunk
 SWEEP_MC = [(23_333, 4_999, 1), (23_333, 4_999, 2), (23_333, 4_999, 3),
             (140_003, 1_000_000, 2)]
+_UNEQUAL_HOPS = config(k=3, n=2, alpha=0.5803, mu=2.703, alpha2=2.0, mu2=2.0)
+_NAKAGAMI = config(k=3, n=2, alpha=2.0, mu=2.0)
+# outage points of three K values, interleaved, at equal and unequal scales
+MIXED_K = list(enumerate([
+    analysis.configure(_UNEQUAL_HOPS, "mean_snr_db", 5.0),
+    config(k=1, n=1, alpha=2.0, mu=2.0, snr=0.5),
+    config(k=3, n=1, alpha=2.0, mu=2.0, snr=3.0, gamma_th=0.4),
+    scaled(config(k=4, n=4, alpha=1.68, mu=1.85, alpha2=0.5007, mu2=40.62),
+           2.0, 30.0, 5.0, 0.7),
+    config(k=1, n=1, alpha=2.0, mu=2.0, snr=100.0),
+    scaled(_UNEQUAL_HOPS, 8.0, 8.0, 1.5, 8.0),
+]))
+# ASEP points of two unit-scale configs at equal scales, interleaved with
+# points of each at unequal scales
+MIXED_SCALES = list(enumerate([
+    analysis.configure(_NAKAGAMI, "mean_snr_db", 0.0),
+    analysis.configure(_UNEQUAL_HOPS, "mean_snr_db", 10.0),
+    scaled(_NAKAGAMI, 3.0, 3.0, 5.0, 3.0),
+    analysis.configure(_NAKAGAMI, "mean_snr_db", 7.5),
+    analysis.configure(_UNEQUAL_HOPS, "mean_snr_db", -2.0),
+    scaled(_UNEQUAL_HOPS, 1.0, 2.0, 3.0, 4.0),
+    _NAKAGAMI,
+]))
 SWEEP_GRIDS = [
     # unequal hop laws (one with alpha*mu < 2), 1 < N < K, and negative,
     # fractional and extreme SNR points
-    (config(k=3, n=2, alpha=0.5803, mu=2.703, alpha2=2.0, mu2=2.0),
-     "mean_snr_db", [-30.0, -7.5, 0.0, 2.5, 13.3, 60.0]),
+    (_UNEQUAL_HOPS, "mean_snr_db", [-30.0, -7.5, 0.0, 2.5, 13.3, 60.0]),
     (config(k=1, n=1, alpha=2.7312, mu=2.21), "mean_snr_db", [-4.0, 0.1, 17.0]),
     (config(k=4, n=4, alpha=1.68, mu=1.85, alpha2=0.5007, mu2=40.62),
      "mean_snr_db", [-12.25, 3.0, 31.0]),
@@ -439,6 +487,9 @@ SWEEP_GRIDS = [
      "N", [1, 2, 3, 4]),
     (config(k=1, n=1, alpha=2.0, mu=2.0, snr=5.0, alpha2=1.0, mu2=1.0),
      "K", [1, 2, 5]),
+    # point lists that no one-variable sweep gives
+    (None, "points", MIXED_K),
+    (None, "points", MIXED_SCALES),
 ]
 
 
@@ -447,29 +498,48 @@ SWEEP_GRIDS = [
 def test_sweep_mc_equals_per_point_bit_for_bit(base, variable, grid, metric):
     from relaylink import mcsim
     simulate = mcsim.simulate_outage if metric == "outage" else mcsim.simulate_asep
-    configs = [analysis.configure(base, variable, g) for g in grid]
+    pts = grid if base is None else points(base, variable, grid)
     for trials, batch, workers in SWEEP_MC:
         mc = mcsim.McConfig(trials=trials, seed=41, workers=workers, batch=batch)
-        assert (analysis.sweep_mc(base, variable, grid, metric, mc)
-                == [simulate(c, mc) for c in configs])
+        assert (analysis._mc_column(pts, metric, mc)
+                == [simulate(c, mc) for _, c in pts])
     # whole rows, wherever the analytic value exists at every point
     try:
-        expected = [analysis.evaluate(c, g, metric, mc) for c, g in zip(configs, grid)]
+        expected = [dataclasses.replace(analysis.evaluate(c, v, metric), mc=simulate(c, mc))
+                    for v, c in pts]
     except QuadratureFailureError:
         with pytest.raises(QuadratureFailureError):
-            sweep(base, variable, grid, metric, mc)
+            list(sweep(pts, metric, mc))
     else:
-        assert sweep(base, variable, grid, metric, mc) == expected
+        assert list(sweep(pts, metric, mc)) == expected
+
+
+def test_sweep_mc_shares_passes(monkeypatch):
+    # one outage pass per K, one ASEP pass per unit-scale config at equal
+    # scales, and one per config at unequal scales
+    from relaylink import mcsim
+    sizes = []
+    for name in ("simulate_outage_grid", "simulate_asep_grid"):
+        def counted(*args, _run=getattr(mcsim, name)):
+            sizes.append(len(args[-2]))
+            return _run(*args)
+        monkeypatch.setattr(mcsim, name, counted)
+    mc = mcsim.McConfig(trials=1_000, seed=2)
+    analysis._mc_column(MIXED_K, "outage", mc)
+    assert sorted(sizes) == [1, 2, 3]
+    sizes.clear()
+    analysis._mc_column(MIXED_SCALES, "asep", mc)
+    assert sorted(sizes) == [1, 1, 2, 3]
 
 
 def test_sweep_takes_any_iterable_grid():
     from relaylink.mcsim import McConfig
-    base = config(k=2, n=1, alpha=2.0, mu=2.0)
+    pts = points(config(k=2, n=1, alpha=2.0, mu=2.0), "mean_snr_db", [0.0, 5.0])
     mc = McConfig(trials=2_000, seed=3)
     for metric in ("outage", "asep"):
-        assert (sweep(base, "mean_snr_db", (db for db in (0.0, 5.0)), metric, mc)
-                == sweep(base, "mean_snr_db", [0.0, 5.0], metric, mc))
-        assert sweep(base, "mean_snr_db", [], metric, mc) == []
+        assert (list(sweep((p for p in pts), metric, mc))
+                == list(sweep(pts, metric, mc)))
+        assert list(sweep([], metric, mc)) == []
 
 
 # ----------------------------------------------------------- estimates

@@ -298,6 +298,10 @@ def test_fading_model_invariants():
     for bad in ((0.0, 1.0, 1.0), (2.0, -1.0, 1.0), (2.0, 1.0, 0.0)):
         with pytest.raises(ValueError):
             AlphaMuParams(*bad)
+    for bad in ((2.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (2.0, math.nan, 1.0),
+                (math.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="alpha, mu must be finite and positive"):
+            AlphaMuParams(*bad)
     for bad in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="finite and positive"):
             GammaGammaParams(*bad)

@@ -11,7 +11,7 @@ from scipy.special import expit
 from scipy.stats import ks_2samp
 
 from relaylink import mcsim
-from relaylink.analysis import SystemConfig, configure, sweep_mc, total_outage
+from relaylink.analysis import SystemConfig, configure, sweep, total_outage
 from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
 from relaylink.mcsim import McConfig, rng_stream, simulate_asep, simulate_outage
 from relaylink.selection import SchedulingSpec, nth_best_cdf
@@ -455,12 +455,16 @@ def test_pinned_streams(name, hits, mean, std_error):
     assert est.std_error == pytest.approx(std_error, rel=1e-13, abs=0.0)
 
 
+def snr_points(c):
+    return [(db, configure(c, "mean_snr_db", db)) for db in range(0, 32, 2)]  # 16 points
+
+
 def outage_sweep(c, m):
-    return sweep_mc(c, "mean_snr_db", range(0, 32, 2), "outage", m)  # 16 points
+    return sweep(snr_points(c), "outage", m)  # the MC column, without reading a row
 
 
 def asep_sweep(c, m):
-    return sweep_mc(c, "mean_snr_db", range(0, 32, 2), "asep", m)
+    return sweep(snr_points(c), "asep", m)
 
 
 @pytest.mark.parametrize("simulate,limit_mb", [(simulate_outage, 16),

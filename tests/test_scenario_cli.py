@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -421,6 +422,13 @@ def test_cli_asep_single_point_without_sweep(scenario_file, capsys):
     assert float(lines[1].split(",")[0]) == pytest.approx(10.0)  # 10 dB
 
 
+def _ksweep_row(scenario, k, n):
+    # the CSV row of the exact outage of the scenario at (K, N)
+    system = relaylink.load_scenario(scenario).system
+    sched = dataclasses.replace(system.scheduling, k_total=k, n_order=n)
+    return f"{k},{total_outage(dataclasses.replace(system, scheduling=sched)).value!r}"
+
+
 def test_cli_ksweep(scenario_file, tmp_path):
     out = tmp_path / "k.csv"
     code = cli.main(["ksweep", scenario_file, "--k", "2..8", "--out", str(out)])
@@ -428,14 +436,17 @@ def test_cli_ksweep(scenario_file, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "K,outage_exact"
     assert [int(r.split(",")[0]) for r in lines[1:]] == list(range(2, 9))
+    assert lines[1:] == [_ksweep_row(scenario_file, k, 2) for k in range(2, 9)]
 
 
 def test_cli_ksweep_n_equals_k_degrades(scenario_file, tmp_path):
     out = tmp_path / "k.csv"
     assert cli.main(["ksweep", scenario_file, "--k", "1..6", "--n-equals-k",
                      "--out", str(out)]) == 0
-    vals = [float(r.split(",")[1]) for r in out.read_text().splitlines()[1:]]
+    lines = out.read_text().splitlines()[1:]
+    vals = [float(r.split(",")[1]) for r in lines]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+    assert lines == [_ksweep_row(scenario_file, k, k) for k in range(1, 7)]
 
 
 def test_cli_ksweep_rejects_k_below_n(scenario_file, tmp_path):
@@ -444,11 +455,22 @@ def test_cli_ksweep_rejects_k_below_n(scenario_file, tmp_path):
                      "--out", str(tmp_path / "k.csv")]) == 1
 
 
-def test_cli_bad_scenario_exit_1(tmp_path):
+def test_cli_bad_scenario_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scheduling]\nk_total = 3\n", encoding="utf-8")
     assert cli.main(["outage", str(bad)]) == 1
     assert cli.main(["outage", str(tmp_path / "missing.ini")]) == 1
+    # a non-finite mu fails at load, naming mu, rather than as a nan
+    # probability (outage) or a quadrature that does not end (asep)
+    capsys.readouterr()
+    for mu in ("inf", "nan"):
+        bad.write_text(GOOD.replace("mu = 2\nmean_snr_db = 10\n\n[rs_link]",
+                                    f"mu = {mu}\nmean_snr_db = 10\n\n[rs_link]"),
+                       encoding="utf-8")
+        for command in ("outage", "asep"):
+            assert cli.main([command, str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert "mu must be finite and positive" in err and f", {mu}, " in err
 
 
 def test_cli_bad_sweep_spec(scenario_file):

@@ -35,3 +35,21 @@ def test_every_library_definition_is_used():
     unused = sorted(f"{where} {name}" for name, where in defined
                     if name not in used and name not in relaylink.__all__)
     assert unused == []
+
+
+def test_cli_reaches_the_core_only_through_sweep():
+    # one sweep engine: every curve row the CLI prints comes from
+    # analysis.sweep, so the CLI names no evaluator or simulator of its own
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names = _names_used(tree) | {name for _, name in imported}
+    banned = {"evaluate", "total_outage", "asep", "sweep_mc"}
+    assert sorted(n for n in names if n in banned or n.startswith("simulate_")) == []
+    # of the core modules, the CLI takes the configs and the sweep alone
+    core = {"analysis", "mcsim", "selection"}
+    assert {name for module, name in imported if module in core} <= {"DEFAULT_SEED",
+                                                                    "McConfig"}
+    assert {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "analysis"} == {"configure", "sweep"}
