@@ -2,12 +2,13 @@
 
 Counter-based RNG (Philox) with one independent stream per fixed-size trial
 block, which worker threads share in chunks of raw words drawn at their exact
-stream offsets, so results are bit-identical for a given (seed, trials, batch).
+stream offsets. Each chunk returns its partial sums, and they are added in
+chunk order, so results are bit-identical for a given (seed, trials, batch)
+whatever the number of workers.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -71,30 +72,15 @@ def _blocks(mc: McConfig):
     return out
 
 
-def _map_blocks(fn, mc: McConfig, reduce):
-    """reduce(results, run) for each block, in block order, where results are
-    fn(stream_id, size, start, stop) for the chunks start..stop-1 of the
-    block and run(f, *iterables) maps f over the same workers. While a block
-    is reduced, the chunks of the blocks after it, at least one block and one
-    chunk's worth of trials, are already queued, so the workers stay busy
-    and results held in memory stay bounded."""
-    blocks = _blocks(mc)
-    ahead = -(-_CHUNK // mc.batch)  # blocks queued beyond the one reduced
-    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        def run(f, *iterables):
-            return (pool.map if mc.workers > 1 else map)(f, *iterables)
-
-        def queue(sid, size):
-            starts = range(0, size, _CHUNK)
-            return run(fn, [sid] * len(starts), [size] * len(starts), starts,
-                       [min(a + _CHUNK, size) for a in starts])
-
-        pending = collections.deque(queue(*b) for b in blocks[:ahead])
-        out = []
-        for i in range(len(blocks)):
-            pending.extend(queue(*b) for b in blocks[i + ahead:i + ahead + 1])
-            out.append(reduce(list(pending.popleft()), run))
-        return out
+def _map_blocks(fn, mc: McConfig):
+    """fn(stream_id, size, start, stop) for the chunks start..stop-1 of every
+    block, in block and chunk order, mapped over at most mc.workers threads."""
+    chunks = [(sid, size, a, min(a + _CHUNK, size))
+              for sid, size in _blocks(mc) for a in range(0, size, _CHUNK)]
+    if mc.workers == 1:
+        return [fn(*chunk) for chunk in chunks]
+    with ThreadPoolExecutor(max_workers=min(mc.workers, len(chunks))) as pool:
+        return list(pool.map(fn, *zip(*chunks)))
 
 
 def _draw_words(c: SystemConfig, rng: np.random.Generator, size: int,
@@ -170,7 +156,7 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
             hits[j] = np.count_nonzero(out)
         return hits
 
-    hits = sum(_map_blocks(block, mc, lambda chunks, _: sum(chunks)))
+    hits = sum(_map_blocks(block, mc))
     estimates = []
     for h in hits.tolist():
         p_hat = h / mc.trials
@@ -352,50 +338,30 @@ def simulate_asep_grid(c: SystemConfig, scales, mc: McConfig) -> list[PerfEstima
     so is the exponential). When c's four scales are 1, those variates are
     its link SNRs, and rounding is monotone, so s times its end-to-end SNR
     (a minimum of link SNRs) is, bit for bit, that of c with its scales set
-    to s: the estimate for s equals `simulate_asep` of that config. The
-    chunks compute the errors of the first scale; the workers then refill
-    one block-sized buffer with those of each further scale, from the
-    block's unit-scale SNRs, and each fill is summed over the whole block,
-    as a run of that config alone sums it.
+    to s: the estimate for s equals `simulate_asep` of that config. Each
+    chunk computes its SNRs once, writes the errors of each scale in turn
+    into one chunk-sized buffer and returns their pairwise `np.sum` and sum
+    of squares; the estimate is the `math.fsum` of those over all chunks.
     """
     a, b = c.mod_a, c.mod_b
-    keep = len(scales) > 1  # the unit-scale SNRs serve the scales after the first
-
-    def errors(s, g, out=None):  # (a/2) erfc(sqrt(b·s·g)), ufunc by ufunc
-        x = np.multiply(g, s, out=out)
-        np.multiply(x, b, out=x)
-        np.sqrt(x, out=x)
-        erfc(x, out=x)
-        return np.multiply(x, 0.5 * a, out=x)
 
     def block(stream_id, size, start, stop):
-        g1 = _end_to_end_snr(c, rng_stream(mc.seed, stream_id), size, start, stop)
-        # the first scale's errors go to a fresh array: computed in g1's
-        # place, they raised the peak RSS of 2e6-trial runs by about 4 MB
-        return (g1 if keep else None), errors(scales[0], g1)
-
-    def block_sums(chunks, run):
-        g1 = [g for g, _ in chunks]
-        starts = np.cumsum([0] + [e.size for _, e in chunks])[:-1]
-        pe = np.concatenate([e for _, e in chunks])
-        del chunks[:]
-
-        def fill(s, g, lo):  # scale s's errors of one chunk into the block's buffer
-            errors(s, g, pe[lo:lo + g.size])
-
-        def block_sum():  # np.sum of the whole block: its pairwise order fixes the bits
-            return float(np.sum(pe)), float(np.sum(np.square(pe, out=pe)))
-
-        sums = [block_sum()]
-        for s in scales[1:]:
-            list(run(fill, [s] * len(g1), g1, starts))
-            sums.append(block_sum())
+        g = _end_to_end_snr(c, rng_stream(mc.seed, stream_id), size, start, stop)
+        pe = np.empty_like(g)  # the errors of each scale in turn, as g serves them all
+        sums = []
+        for s in scales:  # (a/2) erfc(sqrt(b·s·g)), ufunc by ufunc
+            np.multiply(g, s, out=pe)
+            np.multiply(pe, b, out=pe)
+            np.sqrt(pe, out=pe)
+            erfc(pe, out=pe)
+            np.multiply(pe, 0.5 * a, out=pe)
+            sums.append((float(np.sum(pe)), float(np.sum(np.square(pe, out=pe)))))
         return sums
 
-    per_block = _map_blocks(block, mc, block_sums)
+    per_chunk = _map_blocks(block, mc)
     n = mc.trials
     estimates = []
-    for sums in zip(*per_block):
+    for sums in zip(*per_chunk):
         mean = math.fsum(s for s, _ in sums) / n
         var = max(math.fsum(q for _, q in sums) / n - mean * mean, 0.0)
         estimates.append(PerfEstimate(min(max(mean, 0.0), 1.0), method="monte_carlo",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .analysis import SystemConfig, db_to_linear
 from .channels import AlphaMuParams
-from .mcsim import DEFAULT_SEED, McConfig
+from .mcsim import McConfig
 from .selection import SchedulingSpec
 
 
@@ -85,6 +85,13 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"[{section}] {key}: not an integer") from exc
 
+    def checked(section, make, *args, **kwargs):
+        # make(...), with section named in front of a ValueError it raises
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise ScenarioError(f"[{section}] {exc}") from exc
+
     def get_linear(section, base):
         has_lin = cp.has_option(section, base)
         has_db = cp.has_option(section, base + "_db")
@@ -92,10 +99,16 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(
                 f"[{section}]: give {base} or {base}_db, not both")
         if has_lin:
-            return get_float(section, base)
-        if has_db:
-            return db_to_linear(get_float(section, base + "_db"))
-        raise ScenarioError(f"[{section}]: missing {base} (or {base}_db)")
+            value = get_float(section, base)
+        elif has_db:
+            value = checked(section, db_to_linear, get_float(section, base + "_db"))
+        else:
+            raise ScenarioError(f"[{section}]: missing {base} (or {base}_db)")
+        # checked here, where the section is known, as SchedulingSpec takes
+        # the [uplink] and [downlink] values together
+        if not value > 0:
+            raise ScenarioError(f"[{section}] {base} must be positive, got {value}")
+        return value
 
     def require(section, key):
         if not cp.has_option(section, key):
@@ -107,37 +120,22 @@ def parse_scenario(text: str) -> Scenario:
         for key in ("alpha", "mu"):
             require(link, key)
 
-    try:
-        sched = SchedulingSpec(
-            k_total=get_int("scheduling", "k_total"),
-            n_order=get_int("scheduling", "n_order"),
-            uplink_mean_snr=get_linear("uplink", "mean_snr"),
-            downlink_mean_snr=get_linear("downlink", "mean_snr"),
-        )
-        sr = AlphaMuParams(get_float("sr_link", "alpha"),
-                           get_float("sr_link", "mu"),
-                           get_linear("sr_link", "mean_snr"))
-        rs = AlphaMuParams(get_float("rs_link", "alpha"),
-                           get_float("rs_link", "mu"),
-                           get_linear("rs_link", "mean_snr"))
-        mod_a = get_float("modulation", "a") if cp.has_option("modulation", "a") else 1.0
-        mod_b = get_float("modulation", "b") if cp.has_option("modulation", "b") else 1.0
-        system = SystemConfig(scheduling=sched, sr_model=sr, rs_model=rs,
-                              gamma_th=get_linear("scheduling", "gamma_th"),
-                              mod_a=mod_a, mod_b=mod_b)
-        mc = None
-        if "mc" in cp:
-            require("mc", "trials")
-            mc = McConfig(
-                trials=get_int("mc", "trials"),
-                seed=get_int("mc", "seed") if cp.has_option("mc", "seed") else DEFAULT_SEED,
-                workers=get_int("mc", "workers") if cp.has_option("mc", "workers") else 1,
-                batch=get_int("mc", "batch") if cp.has_option("mc", "batch") else 1_000_000,
-            )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(str(exc)) from exc
+    sched = checked("scheduling", SchedulingSpec,
+                    k_total=get_int("scheduling", "k_total"),
+                    n_order=get_int("scheduling", "n_order"),
+                    uplink_mean_snr=get_linear("uplink", "mean_snr"),
+                    downlink_mean_snr=get_linear("downlink", "mean_snr"))
+    sr, rs = (checked(link, AlphaMuParams, get_float(link, "alpha"), get_float(link, "mu"),
+                      get_linear(link, "mean_snr")) for link in ("sr_link", "rs_link"))
+    # gamma_th is positive already, so only mod_a or mod_b can fail here
+    modulation = cp["modulation"] if "modulation" in cp else {}
+    system = checked("modulation", SystemConfig, scheduling=sched, sr_model=sr,
+                     rs_model=rs, gamma_th=get_linear("scheduling", "gamma_th"),
+                     **{f"mod_{key}": get_float("modulation", key) for key in modulation})
+    mc = None
+    if "mc" in cp:
+        require("mc", "trials")
+        mc = checked("mc", McConfig, **{key: get_int("mc", key) for key in cp["mc"]})
     return Scenario(system=system, mc=mc)
 
 

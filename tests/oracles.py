@@ -5,7 +5,7 @@ expanded inclusion-exclusion form of the total outage, the best-of-K CDF
 (the N-th-best CDF at N = 1) as a product and as a binomial expansion, the
 binomial expansion of the N-th-best CDF, the lower incomplete gamma function
 as a Mellin-Barnes contour integral, and the Monte-Carlo estimators with
-each block drawn in sequence and reduced whole. The alpha-mu SNR and
+each block drawn in sequence and built whole. The alpha-mu SNR and
 envelope densities and the envelope moments are here too: the library needs
 none of them, and the tests integrate the densities against its CDF and
 substitute the moments into its fits. The envelope CDF is the library's one
@@ -175,13 +175,15 @@ def simulate_outage_blocks(c, mc):
 
 def simulate_asep_blocks(c, mc):
     """(value, std_error) of the ASEP estimate, one whole block at a time:
-    `end_to_end_snr_full` of `block_uniforms`, summed per block."""
+    `end_to_end_snr_full` of `block_uniforms`, summed in slices of
+    `mcsim._CHUNK` trials, as the estimator sums its chunks."""
     a, b = c.mod_a, c.mod_b
     sums = []
     for sid, size in mcsim._blocks(mc):
         uniforms = block_uniforms(c, mcsim.rng_stream(mc.seed, sid), size)
         pe = 0.5 * a * erfc(np.sqrt(b * end_to_end_snr_full(c, *uniforms)))
-        sums.append((float(np.sum(pe)), float(np.sum(pe * pe))))
+        sums += [(float(np.sum(part)), float(np.sum(part * part)))
+                 for part in np.split(pe, range(mcsim._CHUNK, size, mcsim._CHUNK))]
     n = mc.trials
     mean = math.fsum(s for s, _ in sums) / n
     var = max(math.fsum(q for _, q in sums) / n - mean * mean, 0.0)

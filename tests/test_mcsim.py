@@ -467,14 +467,12 @@ def asep_sweep(c, m):
     return sweep(snr_points(c), "asep", m)
 
 
-@pytest.mark.parametrize("simulate,limit_mb", [(simulate_outage, 16),
-                                               (simulate_asep, 32),
-                                               (outage_sweep, 16),
-                                               (asep_sweep, 32)])
-def test_block_working_set_stays_small(simulate, limit_mb):
+@pytest.mark.parametrize("simulate", [simulate_outage, simulate_asep, outage_sweep,
+                                      asep_sweep])
+def test_block_working_set_stays_small(simulate):
     # one K = 10 block of 1e6 trials on one worker, at one point or for a
-    # 16-point sweep: the working set is a chunk's, plus on the ASEP path the
-    # block's unit-scale SNRs and the per-trial errors of one point at a time
+    # 16-point sweep: the working set is one chunk's, since each chunk
+    # returns its partial sums and no buffer spans the block
     c = config(k=10, n=1, alpha=2.0, mu=2.0, snr=10.0)
     simulate(c, McConfig(trials=1_000))  # builds the cached gate tables first
     tracemalloc.start()
@@ -483,7 +481,7 @@ def test_block_working_set_stays_small(simulate, limit_mb):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < limit_mb * 2**20
+    assert peak < 12 * 2**20
 
 
 # ----------------------------------------------------------- validation

@@ -128,6 +128,30 @@ def test_invalid_values_reported():
         parse_scenario(GOOD.replace("trials = 50000", "trials = 10"))
 
 
+@pytest.mark.parametrize("old,new,section", [
+    pytest.param("[sr_link]\nalpha = 2\nmu = 2", "[sr_link]\nalpha = 2\nmu = inf", "sr_link",
+                 id="sr_link-mu"),
+    pytest.param("[rs_link]\nalpha = 2\nmu = 2", "[rs_link]\nalpha = 2\nmu = inf", "rs_link",
+                 id="rs_link-mu"),
+    pytest.param("n_order = 2", "n_order = 9", "scheduling", id="scheduling-n_order"),
+    pytest.param("gamma_th_db = 0", "gamma_th_db = 5000", "scheduling",
+                 id="scheduling-gamma_th_db"),
+    pytest.param("[downlink]\nmean_snr = 10", "[downlink]\nmean_snr = -1", "downlink",
+                 id="downlink-mean_snr"),
+    pytest.param("a = 1", "a = 0", "modulation", id="modulation-a"),
+    pytest.param("trials = 50000", "trials = 10", "mc", id="mc-trials"),
+    pytest.param("workers = 2", "workers = 0", "mc", id="mc-workers"),
+])
+def test_invalid_values_name_their_section(old, new, section, tmp_path, capsys):
+    text = GOOD.replace(old, new)
+    with pytest.raises(ScenarioError, match=rf"^\[{section}\] "):
+        parse_scenario(text)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text, encoding="utf-8")
+    assert cli.main(["outage", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"relaylink outage: error: [{section}] ")
+
+
 # ------------------------------------------------------------------ CLI
 
 @pytest.fixture

@@ -53,3 +53,20 @@ def test_cli_reaches_the_core_only_through_sweep():
     assert {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "analysis"} == {"configure", "sweep"}
+
+
+def test_one_thread_fan_out_and_no_reduce_callback():
+    # one reduction path: mcsim._map_blocks alone hands chunks to threads and
+    # returns their results in chunk order; no library function takes a
+    # reduce callback to fold them some other way
+    pools, reducers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reducers += [f"{path.name}:{func.lineno} {func.name}" for func in ast.walk(tree)
+                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and "reduce" in {a.arg for a in ast.walk(func.args)
+                                      if isinstance(a, ast.arg)}]
+        pools += [f"{path.stem}.{getattr(node, 'name', node.lineno)}" for node in tree.body
+                  if "ThreadPoolExecutor" in _names_used(node)]
+    assert reducers == []
+    assert pools == ["mcsim._map_blocks"]
