@@ -287,14 +287,14 @@ def sweep(points, metric: str = "outage", mc=None):
 
 def _mc_column(points, metric: str, mc) -> list[PerfEstimate]:
     """The Monte-Carlo estimate of each point, equal bit for bit to a run of
-    its config alone. Outage points that share K share one draw; ASEP points
-    whose four link scales are equal share one pass at their unit-scale
-    config; any other ASEP point is a pass of its own config at scale 1."""
+    its config alone. Outage points that share (K, N) share one pass; ASEP
+    points whose four link scales are equal share one pass at their
+    unit-scale config; any other ASEP point is a pass of its own config at scale 1."""
     from . import mcsim  # here, not at the top: mcsim imports this module
     groups = {}  # pass key -> [(index, config or scale)]
     for i, (_, c) in enumerate(points):
         if metric == "outage":
-            groups.setdefault(c.scheduling.k_total, []).append((i, c))
+            groups.setdefault((c.scheduling.k_total, c.scheduling.n_order), []).append((i, c))
         elif len(set(snrs := c.all_mean_snrs())) == 1:  # at unit scale, scale snrs[0]
             groups.setdefault(configure(c, "mean_snr_db", 0.0), []).append((i, snrs[0]))
         else:

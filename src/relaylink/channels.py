@@ -78,12 +78,11 @@ def alpha_mu_snr_cdf(p: AlphaMuParams, gamma):
 
 
 def gamma_gamma_moment(p: GammaGammaParams, n: int) -> float:
-    """n-th moment of the unit-mean Gamma-Gamma law."""
+    """n-th moment of the unit-mean Gamma-Gamma law, (eta)_n (beta)_n / (eta beta)^n,
+    as the product of (1 + k/eta)(1 + k/beta) over k < n: a few ulps at any eta, beta."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    e, b = p.eta, p.beta
-    return math.exp(-n * math.log(e * b) + math.lgamma(e + n) + math.lgamma(b + n)
-                    - math.lgamma(e) - math.lgamma(b))
+    return math.prod(((1.0 + k / p.eta) * (1.0 + k / p.beta) for k in range(1, n)), start=1.0)
 
 
 def gamma_gamma_sample(p: GammaGammaParams, rng: np.random.Generator, size=None):

@@ -70,8 +70,7 @@ def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
     """Fit (alpha, mu, rho_bar) so the first three alpha-mu moments match the
     Gamma-Gamma moments of p. Raises NonConvergenceError (with the best
     iterate attached) if the residual stays above TOL."""
-    # E[X^n] of the unit-mean Gamma-Gamma law is prod_{k<n} (1 + k/eta)(1 + k/beta)
-    log_r = np.cumsum([math.log1p(k / p.eta) + math.log1p(k / p.beta) for k in (1, 2)])
+    log_r = np.log([gamma_gamma_moment(p, n) for n in (2, 3)])  # r_n = E[I^n], as E[I] = 1
     iters = 0
     with np.errstate(all="ignore"):  # an infeasible trial point gives inf or nan, rejected
         # start at the alpha = 1 law with the same second-moment ratio 1 + 1/mu

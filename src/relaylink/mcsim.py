@@ -123,37 +123,28 @@ def simulate_outage(c: SystemConfig, mc: McConfig) -> PerfEstimate:
 def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
     """Empirical outage probability of each config, all from one draw.
 
-    Uses the threshold-comparison form of inverse-transform sampling: a link
-    is in outage exactly when its word (`_draw_words`) is at most the
-    `_word_limit` of the link CDF at the threshold, and the N-th best uplink
-    exactly when at least K - N + 1 uplink words are. The configs must share
-    K, which alone fixes the words, so each chunk is drawn once and compared
-    once per config; every estimate equals that of a run of its config alone.
+    Uses the threshold-comparison form of inverse-transform sampling: a link,
+    the N-th best uplink among them, is in outage exactly when its word
+    (`_nth_best_words`) is at most the `_word_limit` of its CDF at the
+    threshold. The configs must share K and N, which alone fix those words,
+    so each chunk is drawn and selected once and compared once per config;
+    every estimate equals that of a run of its config alone.
     """
-    k = configs[0].scheduling.k_total
-    if any(c.scheduling.k_total != k for c in configs):
-        raise ValueError("the configs of one outage grid must share K")
-    limits = []
-    for c in configs:
-        sched = c.scheduling
-        limits.append((*map(_word_limit, (
-            -math.expm1(-c.gamma_th / sched.uplink_mean_snr),
-            alpha_mu_snr_cdf(c.sr_model, c.gamma_th),
-            -math.expm1(-c.gamma_th / sched.downlink_mean_snr),
-            alpha_mu_snr_cdf(c.rs_model, c.gamma_th))), k - sched.n_order + 1))
+    if len({(c.scheduling.k_total, c.scheduling.n_order) for c in configs}) > 1:
+        raise ValueError("the configs of one outage grid must share K and N")
+    limits = [tuple(map(_word_limit, (
+        -math.expm1(-c.gamma_th / c.scheduling.uplink_mean_snr),
+        alpha_mu_snr_cdf(c.sr_model, c.gamma_th),
+        -math.expm1(-c.gamma_th / c.scheduling.downlink_mean_snr),
+        alpha_mu_snr_cdf(c.rs_model, c.gamma_th)))) for c in configs]
 
     def block(stream_id, size, start, stop):
-        rng = rng_stream(mc.seed, stream_id)
-        w_up, w_sr, w_dn, w_rs = _draw_words(configs[0], rng, size, start, stop)
+        w_nth, w_sr, w_dn, w_rs = _nth_best_words(
+            configs[0], rng_stream(mc.seed, stream_id), size, start, stop)
         hits = np.zeros(len(limits), np.int64)
-        below = np.empty(stop - start, np.int32)  # uplinks in outage
-        mask = np.empty(w_up.shape, bool)  # one (n, K) mask, refilled for each config
-        for j, (l_ray, l_sr, l_dn, l_rs, need) in enumerate(limits):
-            below.fill(0)
-            for col in np.less_equal(w_up, l_ray, out=mask).T:
-                below += col
-            out = (below >= need) | (w_sr <= l_sr) | (w_dn <= l_dn) | (w_rs <= l_rs)
-            hits[j] = np.count_nonzero(out)
+        for j, (l_nth, l_sr, l_dn, l_rs) in enumerate(limits):
+            hits[j] = np.count_nonzero(
+                (w_nth <= l_nth) | (w_sr <= l_sr) | (w_dn <= l_dn) | (w_rs <= l_rs))
         return hits
 
     hits = sum(_map_blocks(block, mc))
@@ -166,22 +157,14 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
     return estimates
 
 
-def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
+def _nth_best_words(c: SystemConfig, rng: np.random.Generator, size: int,
                     start=0, stop=None):
-    """Per-trial end-to-end SNR of trials start..stop-1 (default: all) of a
-    block: the minimum of the N-th best uplink, the two alpha-mu hops and
-    the downlink, each drawn by inverse transform from the outage path's
-    words (`_draw_words`).
-
-    Every transform is monotone in its word, so the N-th best uplink is the
-    transform of the N-th largest uplink word. The Rayleigh links set a
-    running minimum m; each alpha-mu hop inverts, from the gate's table
-    positions, only the trials `_may_lower` passes, which evaluates no CDF:
-    it skips a trial only when a floor of the hop SNR, read at u from the
-    inverse's own table, exceeds m. So m is the minimum of all four links.
-    """
-    sched = c.scheduling
-    k, n = sched.k_total, sched.n_order
+    """The N-th largest of each trial's K uplink words (`_draw_words`), a
+    column of the uplink block selected in place, and its S->R, downlink and
+    R->S words, for trials start..stop-1 (default: all) of a block. Every
+    link SNR is monotone in its word, so the N-th best uplink, which the
+    relay serves, is that of the N-th largest word."""
+    k, n = c.scheduling.k_total, c.scheduling.n_order
     w_up, w_sr, w_dn, w_rs = _draw_words(c, rng, size, start, stop)
     w_nth = w_up[:, k - n]  # the N-th largest word, (K - N)-th in ascending order
     if n == 1:  # by a running maximum, at K = 3 under a tenth of the partition's time;
@@ -189,10 +172,27 @@ def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
             np.maximum(w_nth, w_up[:, j], out=w_nth)
     else:  # by a partition in place, since np.partition would copy the block
         w_up.partition(k - n, axis=1)
-    u_nth, u_sr, u_dn, u_rs = map(_to_uniforms, (w_nth, w_sr, w_dn, w_rs))
+    return w_nth, w_sr, w_dn, w_rs
+
+
+def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
+                    start=0, stop=None):
+    """Per-trial end-to-end SNR of trials start..stop-1 (default: all) of a
+    block: the minimum of the N-th best uplink, the two alpha-mu hops and
+    the downlink, each drawn by inverse transform from the words the outage
+    kernel compares (`_nth_best_words`).
+
+    The Rayleigh links set a running minimum m; each alpha-mu hop inverts,
+    from the gate's table positions, only the trials `_may_lower` passes,
+    which evaluates no CDF: it skips a trial only when a floor of the hop
+    SNR, read at u from the inverse's own table, exceeds m. So m is the
+    minimum of all four links.
+    """
+    sched = c.scheduling
+    u_nth, u_sr, u_dn, u_rs = map(_to_uniforms, _nth_best_words(c, rng, size, start, stop))
     m = np.minimum(-sched.uplink_mean_snr * np.log1p(-u_nth),
                    -sched.downlink_mean_snr * np.log1p(-u_dn))
-    del w_up, w_nth, u_nth, u_dn
+    del u_nth, u_dn
     for p, u in ((c.sr_model, u_sr), (c.rs_model, u_rs)):
         x = _table_position(p.mu, u)
         hit = np.flatnonzero(_may_lower(p, u, m, x))

@@ -24,7 +24,7 @@ from relaylink.analysis import (
 )
 from relaylink.channels import AlphaMuParams, GammaGammaParams
 from relaylink.ggfit import fit_alpha_mu
-from relaylink.mcsim import McConfig, simulate_asep, simulate_outage
+from relaylink.mcsim import McConfig, simulate_asep
 from relaylink.selection import SchedulingSpec, nth_best_cdf
 
 
@@ -156,19 +156,36 @@ def test_criterion_1_published_fit_table():
 
 # ------------------------------------------------------------ criterion 2
 
+# The MC outage hits of criterion 2's points, at 5, 10, ..., 40 dB, as one
+# simulate_outage run per point gave them (1e7 trials, seed 101, 4 workers).
+# Each config's points share one pass of the sweep engine, which must give
+# every point the estimate of its own run.
+CRITERION_2_HITS = {
+    "nakagami K3 N1": [4625807, 1273519, 348446, 103352, 31857, 9918, 3089, 1001],
+    "nakagami K3 N3": [7876853, 3529778, 1221668, 395895, 125611, 39876, 12658, 3994],
+    "exponential K3 N1": [7677587, 5193395, 3208977, 1893316, 1091197, 621200, 351889,
+                          198560],
+    "rayleigh K3 N1": [6202074, 2597899, 904217, 295095, 93687, 30005, 9383, 2959],
+    "very weak K3 N1": [3600094, 998342, 312748, 99525, 31463, 9879, 3088, 1001],
+    "severe K3 N3": [9043606, 6445050, 3873107, 2162167, 1169966, 623001, 328777, 171197],
+}
+
+
 def test_criterion_2_outage_vs_monte_carlo():
     """|exact - MC| <= 3 sigma at 1e7 trials for every swept SNR point with
-    outage >= 1e-5, on the six representative configs."""
+    outage >= 1e-5, on the six representative configs; each config's MC
+    column comes from one sweep."""
+    mc = McConfig(trials=10_000_000, seed=101, workers=4)
     failures = []
     checked = 0
     for name, base in OUTAGE_CONFIGS:
-        for db in np.arange(5.0, 41.0, 5.0):
-            c = at_db(base, db)
-            exact = total_outage(c).value
-            if exact < 1e-5:
-                continue
-            est = simulate_outage(c, McConfig(trials=10_000_000, seed=101,
-                                              workers=4))
+        points = [(db, c) for db in np.arange(5.0, 41.0, 5.0)
+                  if total_outage(c := at_db(base, db)).value >= 1e-5]
+        rows = list(analysis.sweep(points, "outage", mc))
+        if [row.mc.value for row in rows] != [h / mc.trials for h in CRITERION_2_HITS[name]]:
+            failures.append(f"{name}: the sweep's MC column differs from the recorded hits")
+        for (db, _), row in zip(points, rows):
+            exact, est = row.exact.value, row.mc
             checked += 1
             if abs(est.value - exact) > 3.0 * est.std_error:
                 failures.append(

@@ -515,8 +515,8 @@ def test_sweep_mc_equals_per_point_bit_for_bit(base, variable, grid, metric):
 
 
 def test_sweep_mc_shares_passes(monkeypatch):
-    # one outage pass per K, one ASEP pass per unit-scale config at equal
-    # scales, and one per config at unequal scales
+    # one outage pass per (K, N), one ASEP pass per unit-scale config at
+    # equal scales, and one per config at unequal scales
     from relaylink import mcsim
     sizes = []
     for name in ("simulate_outage_grid", "simulate_asep_grid"):
@@ -526,7 +526,7 @@ def test_sweep_mc_shares_passes(monkeypatch):
         monkeypatch.setattr(mcsim, name, counted)
     mc = mcsim.McConfig(trials=1_000, seed=2)
     analysis._mc_column(MIXED_K, "outage", mc)
-    assert sorted(sizes) == [1, 2, 3]
+    assert sorted(sizes) == [1, 1, 2, 2]
     sizes.clear()
     analysis._mc_column(MIXED_SCALES, "asep", mc)
     assert sorted(sizes) == [1, 1, 2, 3]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from oracles import (
@@ -207,6 +208,19 @@ def test_sample_domain():
 def test_gamma_gamma_moment_values():
     assert gamma_gamma_moment(GammaGammaParams(21.5, 19.8), 1) == pytest.approx(1.0)
     assert gamma_gamma_moment(GammaGammaParams(2.0, 2.0), 2) == pytest.approx(2.25)
+
+
+@pytest.mark.parametrize("eta,beta", [(0.019, 5.75e7), (2.0, 1e8), (1e9, 0.5),
+                                       (6e7, 6e7), (1e12, 1e-3)])
+def test_gamma_gamma_moment_keeps_relative_accuracy(eta, beta):
+    # (eta)_n (beta)_n / (eta beta)^n, exact at 50 digits; an lgamma difference
+    # loses digits as eta or beta grows (2.9e-8 off at beta = 6e7)
+    with mpmath.workdps(50):
+        e, b = mpmath.mpf(eta), mpmath.mpf(beta)
+        for n in (1, 2, 3, 4):
+            exact = mpmath.rf(e, n) * mpmath.rf(b, n) / (e * b) ** n
+            got = gamma_gamma_moment(GammaGammaParams(eta, beta), n)
+            assert abs(got / exact - 1) <= 1e-14
 
 
 def test_gamma_gamma_sampling_moments():

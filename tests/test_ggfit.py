@@ -45,6 +45,14 @@ def test_fit_converges_over_log_uniform_domain(log_eta, log_beta):
     _assert_moments_match(10.0 ** log_eta, 10.0 ** log_beta)
 
 
+@pytest.mark.parametrize("eta,beta", [(0.019, 5.75e7), (2.0, 1e8), (1e9, 0.5)])
+def test_fit_converges_with_one_large_parameter(eta, beta):
+    # the moments keep their relative accuracy at large eta or beta, so the
+    # residual check reads the moments the fit solved for
+    fit = fit_alpha_mu(GammaGammaParams(eta, beta))
+    assert fit.converged and fit.residual_norm <= 1e-8
+
+
 @pytest.mark.parametrize("eta,beta", itertools.product([1e-300, 1e-20, 1e12, 1e300],
                                                        repeat=2))
 def test_fit_extreme_pairs_fail_only_by_nonconvergence(eta, beta):

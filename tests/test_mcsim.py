@@ -388,7 +388,7 @@ def test_chunk_uniforms_equal_sequential_block_rows(size, start, stop, k):
 # (trials, batch): trials below, at and above one chunk, in one or more
 # blocks, most of them multiples of neither 4 nor the chunk size; blocks of
 # one trial cost a stream each, so they run on two of the (K, N) pairs only
-ORDERS = [(1, 1), (3, 1), (3, 3), (16, 1), (16, 16)]
+ORDERS = [(1, 1), (3, 1), (3, 3), (10, 4), (7, 6), (16, 1), (16, 16)]
 CHUNK_CASES = ([(1_001, 1, 3, 1), (1_001, 1, 16, 16)]
                + [(trials, batch, k, n)
                   for trials, batch in [(23_333, 4_999), (1_003, 1_000_000),
@@ -485,6 +485,14 @@ def test_block_working_set_stays_small(simulate):
 
 
 # ----------------------------------------------------------- validation
+
+def test_outage_grid_configs_share_k_and_n():
+    # one draw and one N-th best selection serve the whole grid
+    m = McConfig(trials=1_000)
+    for other in (unequal_hops(4, 1), unequal_hops(3, 2)):
+        with pytest.raises(ValueError, match="share K and N"):
+            mcsim.simulate_outage_grid([unequal_hops(4, 2), other], m)
+
 
 def test_mc_config_validation():
     with pytest.raises(ValueError):

@@ -70,3 +70,18 @@ def test_one_thread_fan_out_and_no_reduce_callback():
                   if "ThreadPoolExecutor" in _names_used(node)]
     assert reducers == []
     assert pools == ["mcsim._map_blocks"]
+
+
+def test_one_nth_best_selection_for_both_metrics():
+    # one selection path: mcsim._nth_best_words alone reads the drawn words,
+    # so the outage and ASEP kernels take the N-th best uplink from it
+    def users(name):
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            found += [f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+                      for node in ast.parse(path.read_text(encoding="utf-8")).body
+                      if name in _names_used(node)]
+        return found
+
+    assert users("_draw_words") == ["mcsim._nth_best_words"]
+    assert users("_nth_best_words") == ["mcsim.simulate_outage_grid", "mcsim._end_to_end_snr"]
