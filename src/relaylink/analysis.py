@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from scipy.special import roots_hermite
+from scipy.special import logsumexp, roots_hermite
 
 from . import selection
 from .channels import AlphaMuParams, alpha_mu_snr_cdf
@@ -183,23 +183,45 @@ def _require_equal_snrs(c: SystemConfig) -> float:
     return ref
 
 
+def _finite_or_inf(f, x):
+    """f(x), or inf where the result leaves the float range."""
+    try:
+        return f(x)
+    except OverflowError:
+        return math.inf
+
+
 def _hop_term(link: AlphaMuParams):
-    """(order, coefficient) of an alpha-mu hop's high-SNR outage term: with
-    lam = gamma_th / mean_snr, P(mu, mu lam^(alpha/2)) ~ z^mu / Gamma(mu + 1)
-    = mu^(mu-1) / Gamma(mu) * lam^(alpha mu / 2)."""
+    """(order, coefficient, log coefficient) of an alpha-mu hop's high-SNR
+    outage term: with lam = gamma_th / mean_snr, P(mu, mu lam^(alpha/2)) ~
+    z^mu / Gamma(mu + 1) = mu^(mu-1) / Gamma(mu) * lam^(alpha mu / 2)."""
     mu = link.mu
-    return link.alpha * mu / 2.0, math.exp((mu - 1.0) * math.log(mu) - math.lgamma(mu))
+    log_coef = (mu - 1.0) * math.log(mu) - math.lgamma(mu)
+    return link.alpha * mu / 2.0, _finite_or_inf(math.exp, log_coef), log_coef
 
 
 def _outage_terms(c: SystemConfig):
-    """(order, coefficient) of each high-SNR outage term coef * lam^order,
-    lam = gamma_th / mean_snr, in summation order: the N-th best uplink (T1),
-    the S->R and R->S hops, and the downlink (T3). The uplink coefficient is
-    Psi1; Psi2 = Gamma(mu, 0)/Gamma(mu) - 1 is identically zero and is dropped."""
+    """(order, coefficient, log coefficient) of each high-SNR outage term
+    coef * lam^order, lam = gamma_th / mean_snr, in summation order: the
+    N-th best uplink (T1), the S->R and R->S hops, and the downlink (T3); a
+    coefficient beyond the float range is inf. The uplink coefficient is
+    Psi1 = C(K-1, N-1) K / (K-N+1) = C(K, N-1), rounded once; Psi2 =
+    Gamma(mu, 0)/Gamma(mu) - 1 is identically zero and is dropped."""
     k_tot, n = c.scheduling.k_total, c.scheduling.n_order
-    order = k_tot - n + 1
-    psi1 = math.comb(k_tot - 1, n - 1) * k_tot / order
-    return [(order, psi1), _hop_term(c.sr_model), _hop_term(c.rs_model), (1, 1.0)]
+    psi1 = math.comb(k_tot, n - 1)
+    return [(k_tot - n + 1, _finite_or_inf(float, psi1), math.log(psi1)),
+            _hop_term(c.sr_model), _hop_term(c.rs_model), (1, 1.0, 0.0)]
+
+
+def _power_term(order, coef, log_coef, lam):
+    """coef * lam^order, or exp(log_coef + order log lam) where that
+    product overflows (inf where this does too)."""
+    try:
+        value = coef * lam ** order
+    except OverflowError:
+        value = math.inf
+    return (value if math.isfinite(value)
+            else _finite_or_inf(math.exp, log_coef + order * math.log(lam)))
 
 
 def _ties(order, best):
@@ -210,11 +232,8 @@ def asymptotic_outage(c: SystemConfig) -> PerfEstimate:
     """High-SNR outage approximation: the sum of the dominant per-link terms."""
     lam_gth = c.gamma_th / _require_equal_snrs(c)
     value = 0.0  # a loop, not sum(): from Python 3.12 sum() compensates, changing bits
-    for order, coef in _outage_terms(c):
-        try:
-            value += coef * lam_gth ** order
-        except OverflowError:  # lam_gth ** order beyond the float range; coef > 0.7
-            return PerfEstimate(1.0, method="asymptotic")
+    for term in _outage_terms(c):
+        value += _power_term(*term, lam_gth)
     return PerfEstimate(min(value, 1.0), method="asymptotic")
 
 
@@ -225,17 +244,20 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
     T2 is the optical term: its order is the smaller alpha*mu/2 of the two
     hops, and its gain is derived from the asymptotic expression itself, from
     the hop or hops of that order, so that (Gc * SNR)^{-Gd} reproduces their
-    summed term exactly.
+    summed term exactly; from its log where a coefficient is inf.
     """
     _require_equal_snrs(c)
     t1, *hops, t3 = _outage_terms(c)
-    t2_order = min(order for order, _ in hops)
-    t2_coef = sum(coef for order, coef in hops if _ties(order, t2_order))
-    terms = {"T1": t1, "T2": (t2_order, t2_coef), "T3": t3}
-    orders = {t: float(order) for t, (order, _) in terms.items()}
+    t2_order = min(order for order, _, _ in hops)
+    tied = [(coef, log_coef) for order, coef, log_coef in hops if _ties(order, t2_order)]
+    t2 = (t2_order, sum(coef for coef, _ in tied), logsumexp([lc for _, lc in tied]))
+    terms = {"T1": t1, "T2": t2, "T3": t3}
+    orders = {t: float(order) for t, (order, _, _) in terms.items()}
     diversity = min(orders.values())
     dominant = frozenset(t for t, d in orders.items() if _ties(d, diversity))
-    gains = {t: coef ** (-1.0 / order) / c.gamma_th for t, (order, coef) in terms.items()}
+    gains = {t: (coef ** (-1.0 / order) if math.isfinite(coef)
+                 else math.exp(-log_coef / order)) / c.gamma_th
+             for t, (order, coef, log_coef) in terms.items()}
     return AsymptoticReport(diversity_order=diversity,
                             coding_gain_terms=gains, dominant=dominant)
 
@@ -261,7 +283,7 @@ def _checked(metric: str) -> str:
 def evaluate(c: SystemConfig, value, metric: str = "outage") -> SweepRow:
     """The analytic curve row of c at the swept value: metric "outage" gives
     the exact outage and its asymptote (None for unequal SNR scales, or a
-    term coefficient beyond the float range), "asep" the ASEP by quadrature."""
+    hop mu above about 2.5e305), "asep" the ASEP by quadrature."""
     if _checked(metric) == "outage":
         exact = total_outage(c)
         try:

@@ -2,39 +2,26 @@
 
 Counter-based RNG (Philox) with one independent stream per fixed-size trial
 block, which worker threads share in chunks of raw words drawn at their exact
-stream offsets. Each chunk returns its partial sums, and they are added in
-chunk order, so results are bit-identical for a given (seed, trials, batch)
-whatever the number of workers.
+stream offsets, and the ASEP kernel draws each chunk's alpha-mu hops from
+its own counter range. Each chunk returns its partial sums, added in chunk
+order, so results are bit-identical for a given (seed, trials, batch) and
+chunk size whatever the number of workers.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (erfc, expit, gammainc, gammaincc, gammainccinv, gammaincinv,
-                           gammaln)
+from scipy.special import erfc
 
 from .analysis import PerfEstimate, SystemConfig
-from .channels import AlphaMuParams, alpha_mu_snr_cdf
+from .channels import alpha_mu_snr_cdf
 
 DEFAULT_SEED = 20240915
-# alpha-mu gate (_hop_floors): the relative shrink of each floor's quantile,
-# and a guard in table cells, far above the rounding of a cell position
-_GATE_MARGIN = 1e-9
-_GATE_GUARD = 1e-9
 _CHUNK = 65_536  # trials per chunk, the unit of work of a worker thread
-# Gamma quantile (_gamma_quantile): table points, evenly spaced in logit u
-# between the two ends, u = 2**-54 and 1 - 2**-53; and the largest Halley
-# step, relative to its result, that is accepted rather than handed to
-# gammaincinv
-_QUANTILE_POINTS = 16_385
-_QUANTILE_ENDS = (math.log(2.0 ** -54) - math.log1p(-2.0 ** -54),
-                  math.log1p(-2.0 ** -53) - math.log(2.0 ** -53))
-_HALLEY_LIMIT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -84,12 +71,13 @@ def _map_blocks(fn, mc: McConfig):
 
 
 def _draw_words(c: SystemConfig, rng: np.random.Generator, size: int,
-                start=0, stop=None):
+                start=0, stop=None, hops=True):
     """The raw 64-bit Philox words of trials start..stop-1 (default: all) of
     a block of `size` trials, as drawn in order from its fresh stream rng: K
     uplink words a trial, then the S->R, downlink and R->S words of all
-    trials. A counter step makes four words, so the word at offset i is
-    drawn from rng's key after i // 4 steps and i % 4 discarded words."""
+    trials; without the S->R and R->S words when hops is false. A counter
+    step makes four words, so the word at offset i is drawn from rng's key
+    after i // 4 steps and i % 4 discarded words."""
     k, key = c.scheduling.k_total, rng.bit_generator.state["state"]["key"]
     stop = size if stop is None else stop
 
@@ -100,7 +88,7 @@ def _draw_words(c: SystemConfig, rng: np.random.Generator, size: int,
 
     n = stop - start
     return (draw(start * k, n * k).reshape(n, k),
-            *(draw(size * (k + j) + start, n) for j in range(3)))
+            *(draw(size * (k + j) + start, n) for j in ((0, 1, 2) if hops else (1,))))
 
 
 def _to_uniforms(w):
@@ -158,168 +146,58 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
 
 
 def _nth_best_words(c: SystemConfig, rng: np.random.Generator, size: int,
-                    start=0, stop=None):
+                    start=0, stop=None, hops=True):
     """The N-th largest of each trial's K uplink words (`_draw_words`), a
     column of the uplink block selected in place, and its S->R, downlink and
-    R->S words, for trials start..stop-1 (default: all) of a block. Every
-    link SNR is monotone in its word, so the N-th best uplink, which the
-    relay serves, is that of the N-th largest word."""
+    R->S words (the downlink word alone when hops is false), for trials
+    start..stop-1 (default: all) of a block. Every link SNR is monotone in
+    its word, so the N-th best uplink, which the relay serves, is that of
+    the N-th largest word."""
     k, n = c.scheduling.k_total, c.scheduling.n_order
-    w_up, w_sr, w_dn, w_rs = _draw_words(c, rng, size, start, stop)
+    w_up, *links = _draw_words(c, rng, size, start, stop, hops)
     w_nth = w_up[:, k - n]  # the N-th largest word, (K - N)-th in ascending order
-    if n == 1:  # by a running maximum, at K = 3 under a tenth of the partition's time;
-        for j in range(k - 1):  # by index, so no column view outlives the block
-            np.maximum(w_nth, w_up[:, j], out=w_nth)
+    if n in (1, k):  # by a running maximum (N = 1) or minimum (N = K), at K = 3 in
+        pick = np.maximum if n == 1 else np.minimum  # under a tenth of the partition's time;
+        for j in range(k):  # by index, so no column view outlives the block
+            if j != k - n:
+                pick(w_nth, w_up[:, j], out=w_nth)
     else:  # by a partition in place, since np.partition would copy the block
         w_up.partition(k - n, axis=1)
-    return w_nth, w_sr, w_dn, w_rs
+    return w_nth, *links
 
 
 def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
                     start=0, stop=None):
     """Per-trial end-to-end SNR of trials start..stop-1 (default: all) of a
-    block: the minimum of the N-th best uplink, the two alpha-mu hops and
-    the downlink, each drawn by inverse transform from the words the outage
-    kernel compares (`_nth_best_words`).
-
-    The Rayleigh links set a running minimum m; each alpha-mu hop inverts,
-    from the gate's table positions, only the trials `_may_lower` passes,
-    which evaluates no CDF: it skips a trial only when a floor of the hop
-    SNR, read at u from the inverse's own table, exceeds m. So m is the
-    minimum of all four links.
-    """
+    block, which lie in one chunk of `_map_blocks`: the minimum of the N-th
+    best uplink and the downlink, by inverse transform from the words the
+    outage kernel compares (`_nth_best_words`, without the hop words), and
+    of the two alpha-mu hops (`_hop_snrs`)."""
     sched = c.scheduling
-    u_nth, u_sr, u_dn, u_rs = map(_to_uniforms, _nth_best_words(c, rng, size, start, stop))
+    u_nth, u_dn = map(_to_uniforms, _nth_best_words(c, rng, size, start, stop, hops=False))
     m = np.minimum(-sched.uplink_mean_snr * np.log1p(-u_nth),
                    -sched.downlink_mean_snr * np.log1p(-u_dn))
-    del u_nth, u_dn
-    for p, u in ((c.sr_model, u_sr), (c.rs_model, u_rs)):
-        x = _table_position(p.mu, u)
-        hit = np.flatnonzero(_may_lower(p, u, m, x))
-        m[hit] = np.minimum(m[hit], _alpha_mu_bulk(p, u[hit], x[hit]))
+    for g in _hop_snrs(c, rng, start, m.size):
+        np.minimum(m, g, out=m)
     return m
 
 
-def _may_lower(p: AlphaMuParams, u, m, x):
-    """Boolean mask of the trials whose hop-p SNR may lie below m: floor <= m,
-    for the floor (`_hop_floors`) of the last table point at or below u, read
-    at u's `_table_position` x less a guard against rounding."""
-    floors = _hop_floors(p)
-    x = x + (1.0 - _GATE_GUARD)
-    np.fmin(np.fmax(x, 0.0, out=x), floors.size - 1, out=x)
-    return floors[x.astype(np.intp)] <= m
+def _hop_snrs(c: SystemConfig, rng: np.random.Generator, start: int, n: int):
+    """The S->R and R->S SNRs of n trials from start, a chunk start of a
+    block: `_snr_of_gamma` of G ~ Gamma(mu) by `standard_gamma`, S->R first,
+    from the chunk's own generator: the key of the block's stream rng at
+    counter (1 + start // _CHUNK)·2**128, so no two chunks share draws and
+    none reads the block's words, whose counters stay far below 2**128."""
+    gen = np.random.Generator(np.random.Philox(
+        key=rng.bit_generator.state["state"]["key"], counter=(1 + start // _CHUNK) << 128))
+    return [_snr_of_gamma(p, gen.standard_gamma(p.mu, n)) for p in (c.sr_model, c.rs_model)]
 
 
-@functools.lru_cache(maxsize=128)  # 128 KiB a table
-def _hop_floors(p: AlphaMuParams):
-    """Floors of hop p's SNR, built once per hop: floors[0] = 0 for u below
-    the first point of `_quantile_table`, and floors[j + 1] the SNR of
-    z_j·(1 - _GATE_MARGIN), z_j = exp(log_z[j]), at each point j but the last.
-
-    For u at or above point j, `_gamma_quantile` is at least z_j less about
-    1e-13 relative. Division and multiplication round correctly and np.power
-    is monotone in its base, so through the same ufuncs (`_snr_of_gamma`) the
-    floor is at most u's computed SNR, also where the power underflows.
-    """
-    z = np.exp(_quantile_table(p.mu)[2][:-1]) * (1.0 - _GATE_MARGIN)
-    floors = np.concatenate(([0.0], _snr_of_gamma(p, z)))
-    floors.flags.writeable = False
-    return floors
-
-
-def _alpha_mu_bulk(p, u, x=None):
-    # inverse transform of alpha_mu_snr_cdf (round trip tested); x: a 1-D u's _table_position
-    return _snr_of_gamma(p, _gamma_quantile(p.mu, u) if x is None else _quantile_at(p.mu, u, x))
-
-
-def _snr_of_gamma(p, z):
-    # the hop SNR of a Gamma(mu) variate z. The ufunc np.power, because ** on
-    # a NumPy scalar can differ from the array loop in the last ulp
-    return p.mean_snr * np.power(z / p.mu, 2.0 / p.alpha)
-
-
-def _table_position(mu, u):
-    # (logit u - lo)/h: the position of each u of an array on the points of
-    # mu's _quantile_table, in cells; u = 0 gives -inf, below every cell
-    lo, inv_h = _quantile_table(mu)[:2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.log(u)
-        x -= np.log1p(-u)
-    x -= lo
-    x *= inv_h
-    return x
-
-
-def _gamma_quantile(mu, u):
-    """The z with P(mu, z) = u for each u of a float or an array, as an
-    array of u's shape: gammaincinv's value to within about 2e-14 relative.
-
-    The start interpolates log z linearly in logit u between the points of
-    `_quantile_table`; it is within about 6.5e-7/mu relative for mu <= 1,
-    and less above. One Halley step then solves P(mu, z) - u = 0, or
-    (1 - u) - Q(mu, z) = 0 for u > 1/2, where 1 - u is exact and Q keeps the
-    upper tail's relative accuracy. The step's cubic convergence leaves the
-    rounding of P or Q as the only error (the tests check 1e-14 against
-    mpmath). A step larger than _HALLEY_LIMIT·z, a non-finite one and u
-    outside (0, 1) take gammaincinv instead. Each value depends on (mu, u)
-    alone, never on the array around it, so chunks, workers and the
-    full-construction oracle agree bit for bit.
-    """
-    shape = np.shape(u)
-    u = np.asarray(u, dtype=float).ravel()
-    return _quantile_at(mu, u, _table_position(mu, u)).reshape(shape)
-
-
-def _quantile_at(mu, u, x):
-    # _gamma_quantile of a 1-D u, from its _table_position x, which it overwrites
-    log_z, slope = _quantile_table(mu)[2:]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the table's cells; nan (u outside [0, 1]) reads cell 0
-        np.fmin(np.fmax(x, 0.0, out=x), log_z.size - 1, out=x)
-        j = x.astype(np.intp)
-        x -= j
-        x *= slope[j]
-        x += log_z[j]
-        z = np.exp(x)
-        upper = u > 0.5
-        i_lo, i_up = np.flatnonzero(~upper), np.flatnonzero(upper)
-        f = np.empty_like(z)
-        f[i_lo] = gammainc(mu, z[i_lo]) - u[i_lo]
-        f[i_up] = (1.0 - u[i_up]) - gammaincc(mu, z[i_up])
-        # Halley, with f' = z**(mu - 1) e**-z / Gamma(mu) and f''/f' =
-        # (mu - 1)/z - 1; f becomes the Newton step f/f'
-        f *= np.exp(z + gammaln(mu) - (mu - 1.0) * x)
-        step = f / (1.0 - 0.5 * f * ((mu - 1.0) / z - 1.0))
-        z -= step
-        ok = (np.abs(step) <= _HALLEY_LIMIT * z) & (u > 0.0) & (u < 1.0)
-        bad = np.flatnonzero(~ok)
-    if bad.size:
-        z[bad] = gammaincinv(mu, u[bad])
-    return z
-
-
-@functools.lru_cache(maxsize=32)  # 256 KiB a table
-def _quantile_table(mu):
-    """Start of `_gamma_quantile` for Gamma(mu), built once per mu:
-    (lo, 1/h, log_z, slope).
-
-    log_z[j] is the log of the quantile at logit u = lo + h·j, j = 0 ..
-    _QUANTILE_POINTS - 1, from gammaincinv at u <= 1/2 and from
-    gammainccinv at 1 - u above, and slope[j] is log_z[j + 1] - log_z[j]
-    (0 at the last point). A quantile that underflows to 0 gives -inf and
-    nan entries, whose starts fail the Halley check.
-    """
-    lo, hi = _QUANTILE_ENDS
-    t = np.linspace(lo, hi, _QUANTILE_POINTS)
-    z = np.empty_like(t)
-    low = t <= 0.0
-    z[low] = gammaincinv(mu, expit(t[low]))
-    z[~low] = gammainccinv(mu, expit(-t[~low]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_z = np.log(z)
-        slope = np.append(np.diff(log_z), 0.0)
-    log_z.flags.writeable = slope.flags.writeable = False
-    return lo, 1.0 / (t[1] - t[0]), log_z, slope
+def _snr_of_gamma(p, g):
+    """mean_snr·(g/mu)**(2/alpha) of alpha-mu hop p, written over the float
+    array g, ufunc by ufunc: the hop SNR whose CDF is P(mu, g)."""
+    np.power(np.divide(g, p.mu, out=g), 2.0 / p.alpha, out=g)
+    return np.multiply(g, p.mean_snr, out=g)
 
 
 def simulate_asep(c: SystemConfig, mc: McConfig) -> PerfEstimate:
@@ -334,8 +212,8 @@ def simulate_asep_grid(c: SystemConfig, scales, mc: McConfig) -> list[PerfEstima
     each s of scales, all from one pass of `_end_to_end_snr` at c.
 
     Each link SNR is computed as its scale times a variate that depends on
-    the uniforms alone (the alpha-mu law is a scale family in its scale, and
-    so is the exponential). When c's four scales are 1, those variates are
+    the block's stream alone, a uniform or a Gamma(mu) draw (the alpha-mu law
+    is a scale family in its scale, and so is the exponential). When c's four scales are 1, those variates are
     its link SNRs, and rounding is monotone, so s times its end-to-end SNR
     (a minimum of link SNRs) is, bit for bit, that of c with its scales set
     to s: the estimate for s equals `simulate_asep` of that config. Each

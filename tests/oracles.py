@@ -5,7 +5,9 @@ expanded inclusion-exclusion form of the total outage, the best-of-K CDF
 (the N-th-best CDF at N = 1) as a product and as a binomial expansion, the
 binomial expansion of the N-th-best CDF, the lower incomplete gamma function
 as a Mellin-Barnes contour integral, and the Monte-Carlo estimators with
-each block drawn in sequence and built whole. The alpha-mu SNR and
+each block drawn in sequence and built whole, the alpha-mu hops either
+drawn chunk by chunk as the kernel draws them or inverted from the block's
+hop uniforms. The alpha-mu SNR and
 envelope densities and the envelope moments are here too: the library needs
 none of them, and the tests integrate the densities against its CDF and
 substitute the moments into its fits. The envelope CDF is the library's one
@@ -15,7 +17,7 @@ alpha-mu CDF, called in its envelope parameters.
 import math
 
 import numpy as np
-from scipy.special import erfc, loggamma
+from scipy.special import erfc, gammaincinv, loggamma
 
 from relaylink import mcsim
 from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
@@ -142,15 +144,53 @@ def block_uniforms(c, rng, size):
             rng.random(size), rng.random(size))
 
 
-def end_to_end_snr_full(c, u_up, u_sr, u_dn, u_rs):
-    """End-to-end SNR with every link transformed: log1p on all K uplink
-    columns, a full sort, and both alpha-mu hops inverted on every trial."""
+def chunk_hop_snrs(c, key, size):
+    """The S->R and R->S SNRs of a block of `size` trials whose stream has
+    Philox key `key`, built chunk by chunk: for the j-th chunk of
+    `mcsim._CHUNK` trials, a generator on that key, advanced (j + 1)·2**128
+    counter steps from 0, draws the chunk's S->R then its R->S Gamma(mu)
+    variates G, and each hop SNR is mean_snr·(G/mu)**(2/alpha)."""
+    hops = ([], [])
+    for j, start in enumerate(range(0, size, mcsim._CHUNK)):
+        n = min(mcsim._CHUNK, size - start)
+        gen = np.random.Generator(np.random.Philox(key=key).advance((j + 1) << 128))
+        for out, p in zip(hops, (c.sr_model, c.rs_model)):
+            out.append(p.mean_snr * np.power(gen.standard_gamma(p.mu, n) / p.mu,
+                                             2.0 / p.alpha))
+    return tuple(np.concatenate(out) for out in hops)
+
+
+def end_to_end_snr_full(c, rng, size):
+    """End-to-end SNR of a block of `size` trials from its fresh stream rng,
+    with every link transformed: log1p on all K uplink columns of
+    `block_uniforms`, a full sort, the downlink, and both alpha-mu hops of
+    `chunk_hop_snrs`."""
     sched = c.scheduling
+    key = rng.bit_generator.state["state"]["key"]
+    u_up, _, u_dn, _ = block_uniforms(c, rng, size)
     g_up_all = -sched.uplink_mean_snr * np.log1p(-u_up)
     g_up = np.sort(g_up_all, axis=1)[:, sched.k_total - sched.n_order]
-    g_sr = mcsim._alpha_mu_bulk(c.sr_model, u_sr)
     g_dn = -sched.downlink_mean_snr * np.log1p(-u_dn)
-    g_rs = mcsim._alpha_mu_bulk(c.rs_model, u_rs)
+    g_sr, g_rs = chunk_hop_snrs(c, key, size)
+    return np.minimum(np.minimum(g_up, g_sr), np.minimum(g_dn, g_rs))
+
+
+def hop_inverse(p, u):
+    """The SNR x of alpha-mu hop p with alpha_mu_snr_cdf(p, x) = u, through
+    `scipy.special.gammaincinv`."""
+    return p.mean_snr * (gammaincinv(p.mu, u) / p.mu) ** (2.0 / p.alpha)
+
+
+def end_to_end_snr_inverse(c, rng, size):
+    """End-to-end SNR of a block of `size` trials with every link inverted
+    from its uniform of `block_uniforms`, the alpha-mu hops by `hop_inverse`:
+    the SNR whose threshold test is the outage kernel's word compare."""
+    sched = c.scheduling
+    u_up, u_sr, u_dn, u_rs = block_uniforms(c, rng, size)
+    g_up = np.sort(-sched.uplink_mean_snr * np.log1p(-u_up), axis=1)[
+        :, sched.k_total - sched.n_order]
+    g_dn = -sched.downlink_mean_snr * np.log1p(-u_dn)
+    g_sr, g_rs = hop_inverse(c.sr_model, u_sr), hop_inverse(c.rs_model, u_rs)
     return np.minimum(np.minimum(g_up, g_sr), np.minimum(g_dn, g_rs))
 
 
@@ -175,13 +215,13 @@ def simulate_outage_blocks(c, mc):
 
 def simulate_asep_blocks(c, mc):
     """(value, std_error) of the ASEP estimate, one whole block at a time:
-    `end_to_end_snr_full` of `block_uniforms`, summed in slices of
-    `mcsim._CHUNK` trials, as the estimator sums its chunks."""
+    `end_to_end_snr_full`, summed in slices of `mcsim._CHUNK` trials, as the
+    estimator sums its chunks."""
     a, b = c.mod_a, c.mod_b
     sums = []
     for sid, size in mcsim._blocks(mc):
-        uniforms = block_uniforms(c, mcsim.rng_stream(mc.seed, sid), size)
-        pe = 0.5 * a * erfc(np.sqrt(b * end_to_end_snr_full(c, *uniforms)))
+        g = end_to_end_snr_full(c, mcsim.rng_stream(mc.seed, sid), size)
+        pe = 0.5 * a * erfc(np.sqrt(b * g))
         sums += [(float(np.sum(part)), float(np.sum(part * part)))
                  for part in np.split(pe, range(mcsim._CHUNK, size, mcsim._CHUNK))]
     n = mc.trials

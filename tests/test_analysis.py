@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from oracles import total_outage_expanded
@@ -205,12 +206,34 @@ def test_asymptotic_direct_evaluation():
     # value is the cap, as it is for terms that sum past 1
     far = config(k=400, n=1, alpha=2.0, mu=2.0, snr=1.0, gamma_th=100.0)
     assert asymptotic_outage(far).value == 1.0
-    # an uplink coefficient C(K, N - 1) beyond the float range has no float
-    # asymptote: a curve row leaves it out rather than fail
+    # an uplink coefficient C(K, N - 1) beyond the float range keeps its
+    # term, formed from its log, and a curve row shows it
     wide = config(k=1100, n=550, alpha=2.0, mu=2.0, snr=10.0)
-    with pytest.raises(OverflowError):
-        asymptotic_outage(wide)
-    assert analysis.evaluate(wide, 10.0).asymptotic is None
+    assert analysis.evaluate(wide, 10.0).asymptotic == asymptotic_outage(wide)
+
+
+@pytest.mark.parametrize("k,n,alpha,mu,snr", [
+    (3, 1, 2.9, 800.0, 2.0),     # hop coefficient mu^(mu-1)/Gamma(mu) about e^797
+    (1100, 550, 2.0, 2.0, 4.0),  # uplink coefficient C(1100, 549) about e^758
+])
+def test_asymptotic_terms_beyond_float_range(k, n, alpha, mu, snr):
+    # each term coef * lam^order against mpmath at 30 digits; lam is chosen
+    # so that the term whose coefficient overflows adds 0.08% and 1.2% of the sum
+    c = config(k=k, n=n, alpha=alpha, mu=mu, snr=snr)
+    with mpmath.workdps(30):
+        lam = 1 / mpmath.mpf(snr)
+        log_hop = (mu - 1) * mpmath.log(mu) - mpmath.loggamma(mu)
+        terms = {"T1": (k - n + 1, mpmath.log(mpmath.binomial(k, n - 1))),
+                 "T2": (alpha * mu / 2, log_hop + mpmath.log(2)),  # two equal hops
+                 "T3": (1, mpmath.mpf(0))}
+        expect = float(mpmath.fsum(mpmath.exp(log_c) * lam ** d
+                                   for d, log_c in terms.values()))
+    assert asymptotic_outage(c).value == pytest.approx(expect, rel=1e-12)
+    # every gain reproduces its term, (gain * snr)^-order, compared in logs
+    gains = classify_asymptotics(c).coding_gain_terms
+    for t, (order, log_c) in terms.items():
+        assert -order * math.log(gains[t] * snr) == pytest.approx(
+            float(log_c + order * mpmath.log(lam)), rel=1e-12, abs=1e-12)
 
 
 def test_asymptotic_vanishing_threshold():

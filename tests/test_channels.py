@@ -9,6 +9,7 @@ from oracles import (
     alpha_mu_moment,
     alpha_mu_snr_pdf,
 )
+from scipy.special import gammaincinv
 
 from relaylink.analysis import _adaptive_simpson
 from relaylink.channels import (
@@ -18,7 +19,7 @@ from relaylink.channels import (
     gamma_gamma_moment,
     gamma_gamma_sample,
 )
-from relaylink.mcsim import _alpha_mu_bulk
+from relaylink.mcsim import _snr_of_gamma
 from relaylink.selection import SchedulingSpec, downlink_cdf
 
 
@@ -181,26 +182,31 @@ def test_table_special_case_reductions():
 
 
 # -------------------------------------------------------------- sampler
-# mcsim's inverse-transform sampler, the inverse of alpha_mu_snr_cdf
+# mcsim's hop sampler maps a Gamma(mu) variate g to the SNR whose CDF is
+# P(mu, g), so alpha_mu_snr_cdf of it must give gammainc(mu, g) back
 
 def test_sample_closed_forms():
-    p = rayleigh(1.0)
-    assert _alpha_mu_bulk(p, 1.0 - math.exp(-1.0)) == pytest.approx(1.0, abs=1e-9)
-    assert _alpha_mu_bulk(p, 0.5) == pytest.approx(math.log(2.0), abs=1e-9)
+    # Rayleigh: the SNR is g times the mean, and Gamma(1) has median log 2
+    p = rayleigh(2.0)
+    assert _snr_of_gamma(p, np.array([1.0, math.log(2.0)])) == pytest.approx(
+        [2.0, 2.0 * math.log(2.0)], abs=1e-12)
+    assert alpha_mu_snr_cdf(p, float(_snr_of_gamma(p, np.array([math.log(2.0)]))[0])
+                            ) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sample_round_trip_grid():
     p = AlphaMuParams(1.68, 1.85, 10.0)
     us = np.linspace(1e-4, 1.0 - 1e-4, 1000)
-    assert alpha_mu_snr_cdf(p, _alpha_mu_bulk(p, us)) == pytest.approx(us, abs=1e-9)
+    assert alpha_mu_snr_cdf(p, _snr_of_gamma(p, gammaincinv(p.mu, us))) == pytest.approx(
+        us, abs=1e-9)
 
 
 def test_sample_domain():
-    # the largest uniform a generator returns, 1 - 2^-53, still maps to a
-    # finite SNR; 1 itself is the infinite end of the law
+    # g = 0 maps to SNR 0, not nan, a tiny and a huge g to a positive and a
+    # finite SNR, and g = inf to the infinite end
     p = AlphaMuParams(1.68, 1.85, 10.0)
-    assert math.isfinite(_alpha_mu_bulk(p, 1.0 - 2.0 ** -53))
-    assert _alpha_mu_bulk(p, 1.0) == math.inf
+    g = _snr_of_gamma(p, np.array([0.0, 1e-200, 1e100, math.inf]))
+    assert g[0] == 0.0 and g[1] > 0.0 and math.isfinite(g[2]) and g[3] == math.inf
 
 
 # ------------------------------------------------------- Gamma-Gamma

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (block_uniforms, end_to_end_snr_full, simulate_asep_blocks,
-                     simulate_outage_blocks)
-from scipy.special import expit
-from scipy.stats import ks_2samp
+from oracles import (block_uniforms, end_to_end_snr_full, end_to_end_snr_inverse,
+                     simulate_asep_blocks, simulate_outage_blocks)
+from scipy.special import gammainc
+from scipy.stats import ks_2samp, kstest
 
 from relaylink import mcsim
 from relaylink.analysis import SystemConfig, configure, sweep, total_outage
 from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
-from relaylink.mcsim import McConfig, rng_stream, simulate_asep, simulate_outage
+from relaylink.mcsim import DEFAULT_SEED, McConfig, rng_stream, simulate_asep, simulate_outage
 from relaylink.selection import SchedulingSpec, nth_best_cdf
 
 
@@ -174,13 +174,21 @@ def test_estimator_unbiased_coverage():
 # ----------------------------------------------------- sampler parity
 
 def test_bulk_alpha_mu_sampler_matches_scalar():
-    # the sampler inverts the CDF, on an array and one value at a time
-    p = AlphaMuParams(1.68, 1.85, 10.0)
-    us = np.linspace(1e-6, 1.0 - 1e-6, 500)
-    bulk = mcsim._alpha_mu_bulk(p, us)
-    assert alpha_mu_snr_cdf(p, bulk) == pytest.approx(us, rel=1e-10)
-    for u, g in zip(us, bulk):
-        assert g == mcsim._alpha_mu_bulk(p, float(u))
+    # the kernel's hops of a chunk, drawn and transformed as arrays, against
+    # the same chunk generator's Gamma draws taken and transformed one value
+    # at a time; each hop SNR inverts through the CDF to P(mu, G)
+    c = SystemConfig(scheduling=SchedulingSpec(3, 1, 10.0, 10.0),
+                     sr_model=AlphaMuParams(1.68, 1.85, 10.0),
+                     rs_model=AlphaMuParams(*SEVERE_B, 3.7), gamma_th=1.0)
+    rng = rng_stream(5, 0)
+    bulk = mcsim._hop_snrs(c, rng, mcsim._CHUNK, 500)
+    key = rng.bit_generator.state["state"]["key"]
+    gen = np.random.Generator(np.random.Philox(key=key, counter=2 << 128))
+    for p, hop in zip((c.sr_model, c.rs_model), bulk):
+        gs = [gen.standard_gamma(p.mu) for _ in range(hop.size)]
+        for g, x in zip(gs, hop):
+            assert x == mcsim._snr_of_gamma(p, np.array([g]))[0]
+        assert alpha_mu_snr_cdf(p, hop) == pytest.approx(gammainc(p.mu, gs), rel=1e-10)
 
 
 def test_per_link_marginals_match_cdfs():
@@ -202,8 +210,8 @@ def test_per_link_marginals_match_cdfs():
              np.max(pit - np.arange(0, n) / n))
     assert ks < 1.36 / math.sqrt(n)
 
-    g_sr = mcsim._alpha_mu_bulk(c.sr_model, u_sr)
-    pit = np.sort([alpha_mu_snr_cdf(c.sr_model, float(g)) for g in g_sr[:50_000]])
+    g_sr = mcsim._hop_snrs(c, rng_stream(77, 0), 0, 50_000)[0]
+    pit = np.sort([alpha_mu_snr_cdf(c.sr_model, float(g)) for g in g_sr])
     n = pit.size
     ks = max(np.max(np.arange(1, n + 1) / n - pit),
              np.max(pit - np.arange(0, n) / n))
@@ -218,21 +226,29 @@ def test_per_link_marginals_match_cdfs():
 
 
 def test_indicator_fast_path_equals_snr_path():
-    # the threshold-comparison fast path and the explicit SNR construction
-    # must flag exactly the same trials, block by block
+    # the threshold-comparison fast path and the SNRs inverted from the same
+    # words must flag exactly the same trials, block by block
     c = config(k=4, n=2, alpha=1.68, mu=1.85, snr=8.0, gamma_th=2.0)
     m = McConfig(trials=30_000, seed=21, batch=10_000)
     fast = simulate_outage(c, m)
     hits = 0
     for sid, size in mcsim._blocks(m):
-        g = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
+        g = end_to_end_snr_inverse(c, rng_stream(m.seed, sid), size)
         hits += int(np.count_nonzero(g <= c.gamma_th))
     assert fast.value == hits / m.trials
 
 
-def _end_to_end_snr_full(c, rng, size):
-    # oracle: every link of every trial transformed
-    return end_to_end_snr_full(c, *map(mcsim._to_uniforms, mcsim._draw_words(c, rng, size)))
+@pytest.mark.parametrize("alpha,mu", [(0.537, 2.022), (0.5007, 40.62), (0.3, 0.3)])
+def test_kernel_hop_snrs_follow_the_alpha_mu_law(alpha, mu):
+    # the hop SNRs the ASEP kernel draws, one chunk of each hop at unequal
+    # scales, against the alpha-mu CDF; at alpha = mu = 0.3 they span about
+    # 150 decades below the median
+    c = SystemConfig(scheduling=SchedulingSpec(3, 1, 10.0, 10.0),
+                     sr_model=AlphaMuParams(alpha, mu, 10.0),
+                     rs_model=AlphaMuParams(alpha, mu, 0.01), gamma_th=1.0)
+    hops = mcsim._hop_snrs(c, rng_stream(DEFAULT_SEED, 0), mcsim._CHUNK, mcsim._CHUNK)
+    for p, g in zip((c.sr_model, c.rs_model), hops):
+        assert kstest(g, lambda x, p=p: alpha_mu_snr_cdf(p, x)).pvalue > 1e-3
 
 
 SEVERE_B = (0.5803, 2.703)     # fitted severe (b) hop, alpha * mu < 2
@@ -258,39 +274,22 @@ def test_end_to_end_snr_equals_full_construction(k, n, sr, rs, snr_db):
     assert len(mcsim._blocks(m)) == 2
     for sid, size in mcsim._blocks(m):
         fast = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
-        full = _end_to_end_snr_full(c, rng_stream(m.seed, sid), size)
+        full = end_to_end_snr_full(c, rng_stream(m.seed, sid), size)
         assert np.array_equal(fast, full)
 
 
-def may_lower(p, u, m):
-    # the kernel's gate of hop p, at u's own table positions
-    return mcsim._may_lower(p, u, m, mcsim._table_position(p.mu, u))
-
-
 @pytest.mark.parametrize("sr_scale,rs_scale", [(1e-6, 1e6), (1e6, 1e-6)])
-def test_end_to_end_snr_equals_full_construction_at_table_ends(sr_scale, rs_scale):
-    # hop scales 1e-6x and 1e6x the Rayleigh means: the large-scale hop
-    # passes only uniforms below the first point of its floor table, and the
-    # small-scale hop nearly every trial, up to the last floor
+def test_end_to_end_snr_equals_full_construction_at_extreme_scales(sr_scale, rs_scale):
+    # hop scales 1e-6x and 1e6x the Rayleigh means: the small-scale hop sets
+    # nearly every trial's minimum, the large-scale hop almost none
     snr = 10.0
     c = SystemConfig(scheduling=SchedulingSpec(4, 2, snr, 0.5 * snr),
                      sr_model=AlphaMuParams(*VERY_WEAK, sr_scale * snr),
                      rs_model=AlphaMuParams(*VERY_WEAK, rs_scale * snr), gamma_th=1.0)
-    small, large = sorted((c.sr_model, c.rs_model), key=lambda p: p.mean_snr)
-    # uniforms below the first point (u = 2**-54) read floor 0; the largest
-    # Rayleigh SNR a uniform below 1 gives is 36.7 means
-    below = np.array([0.0, 2.0 ** -55])
-    assert may_lower(large, below, np.zeros(2)).all()
-    assert mcsim._hop_floors(large)[1] > 37.0 * snr
-    # the top point, the largest uniform, reads the last floor
-    top, last = np.array([1.0 - 2.0 ** -53]), mcsim._hop_floors(small)[-1]
-    assert may_lower(small, top, np.array([last]))[0]
-    assert not may_lower(small, top, np.nextafter([last], 0.0))[0]
-    assert last < 1e-3 * snr
     m = McConfig(trials=40_000, seed=31, batch=25_000)
     for sid, size in mcsim._blocks(m):
         fast = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
-        full = _end_to_end_snr_full(c, rng_stream(m.seed, sid), size)
+        full = end_to_end_snr_full(c, rng_stream(m.seed, sid), size)
         assert np.array_equal(fast, full)
 
 
@@ -315,55 +314,56 @@ def test_end_to_end_snr_scales_with_the_link_scales(k, data, sr, rs, snr_db, see
                           s * g1)
 
 
-# 30 (alpha, mu) pairs for the alpha-mu gate tests
+# 30 (alpha, mu) pairs, from deep fades (0.3, 0.3) to near-deterministic hops
 GATE_PAIRS = [(alpha, mu)
               for alpha in (0.3, SEVERE_B[0], VERY_WEAK[0], 1.0, 2.0, 8.0)
               for mu in (0.3, 1.0, SEVERE_B[1], VERY_WEAK[1], 60.0)]
 
 
 def test_alpha_mu_gate_never_skips_a_lower_hop():
-    # random draws almost never land next to a floor, so probe the boundary:
-    # for each m, bisect the 2**-53 grid of Generator.random for the smallest
-    # draw the gate skips; it must invert to a hop SNR of at least m
-    m = np.geomspace(1e-12, 1e9, 4001)
-    top = np.int64(2 ** 53 - 1)
+    # the kernel gates no hop out of the minimum: with the uplink and downlink
+    # means at 1e300, every trial's end-to-end SNR is its lower hop, here in
+    # a block's second chunk, whose hops come from their own counter range
+    size = mcsim._CHUNK + 3_000
     for alpha, mu in GATE_PAIRS:
-        p = AlphaMuParams(alpha, mu, 3.7)
-        inside = ~may_lower(p, np.full(m.size, float(top) * 2.0 ** -53), m)
-        mi = m[inside]
-        # u = 0 reads floor 0 and is never skipped; hi is always skipped
-        lo, hi = np.zeros(mi.size, np.int64), np.full(mi.size, top)
-        while np.any(hi - lo > 1):
-            mid = lo + (hi - lo) // 2
-            passed = may_lower(p, mid * 2.0 ** -53, mi)
-            lo, hi = np.where(passed, mid, lo), np.where(passed, hi, mid)
-        assert np.all(mcsim._alpha_mu_bulk(p, hi * 2.0 ** -53) >= mi)
+        c = SystemConfig(scheduling=SchedulingSpec(3, 2, 1e300, 1e300),
+                         sr_model=AlphaMuParams(alpha, mu, 3.7),
+                         rs_model=AlphaMuParams(alpha, mu, 0.5), gamma_th=1.0)
+        rng = rng_stream(13, 1)
+        g = mcsim._end_to_end_snr(c, rng, size, mcsim._CHUNK, size)
+        g_sr, g_rs = mcsim._hop_snrs(c, rng, mcsim._CHUNK, 3_000)
+        assert np.array_equal(g, np.minimum(g_sr, g_rs))
 
 
 @pytest.mark.parametrize("scale", [3.7, 1e-200, 1e200])
 @pytest.mark.parametrize("alpha,mu", GATE_PAIRS)
 def test_hop_floor_gate_at_table_points(alpha, mu, scale):
-    # random draws almost never land next to a floor, so probe the boundary:
-    # u at every quantile-table point and 1 ulp either side, on the 2**-53
-    # grid of Generator.random; m at u's hop SNR g, 1 ulp either side,
-    # g·(1 ± 1e-12) and 0. No trial the gate skips may invert below m. At
-    # alpha = mu = 0.3, g underflows for small u, and a gate testing u
-    # against the CDF at m skips some of those trials
-    p = AlphaMuParams(alpha, mu, scale)
-    points = expit(np.linspace(*mcsim._QUANTILE_ENDS, mcsim._QUANTILE_POINTS))
-    k = np.round(points * 2.0 ** 53)
-    k = np.unique(np.clip(np.concatenate([k - 1.0, k, k + 1.0]), 0.0, 2.0 ** 53 - 1.0))
-    u = k * 2.0 ** -53
-    g = mcsim._alpha_mu_bulk(p, u)
-    for m in (g, np.nextafter(g, 0.0), np.nextafter(g, np.inf),
-              g * (1.0 - 1e-12), g * (1.0 + 1e-12), np.zeros_like(g)):
-        skipped = ~may_lower(p, u, m)
-        assert not np.any(skipped & (g < m))
+    # each hop floors the end-to-end SNR, which no gate may skip, at scales
+    # where small-alpha hops underflow to 0 (1e-200) or overflow to inf
+    # (1e200): the kernel's SNRs equal the full construction, lie at or
+    # below both hops, and are never nan
+    c = SystemConfig(scheduling=SchedulingSpec(4, 2, 10.0, 5.0),
+                     sr_model=AlphaMuParams(alpha, mu, scale),
+                     rs_model=AlphaMuParams(alpha, mu, scale), gamma_th=1.0)
+    size = 4_000
+    g = mcsim._end_to_end_snr(c, rng_stream(17, 0), size)
+    assert np.array_equal(g, end_to_end_snr_full(c, rng_stream(17, 0), size))
+    g_sr, g_rs = mcsim._hop_snrs(c, rng_stream(17, 0), 0, size)
+    assert np.all((g <= g_sr) & (g <= g_rs) & (g >= 0.0))
 
 
 def test_asep_matches_quadrature():
     from relaylink.analysis import asep
     c = config(k=2, n=1, alpha=2.0, mu=2.0, snr=10.0)
+    est = simulate_asep(c, McConfig(trials=500_000, seed=9, workers=2))
+    assert abs(est.value - asep(c).value) < 4.0 * est.std_error
+
+
+def test_asep_matches_quadrature_at_small_alpha_mu():
+    # alpha = mu = 0.3: each hop CDF grows like g^0.045 from 0, so the hop
+    # draws spread over more than a hundred decades below the mean
+    from relaylink.analysis import asep
+    c = config(k=2, n=1, alpha=0.3, mu=0.3, snr=10.0)
     est = simulate_asep(c, McConfig(trials=500_000, seed=9, workers=2))
     assert abs(est.value - asep(c).value) < 4.0 * est.std_error
 
@@ -427,11 +427,12 @@ def test_chunked_estimates_equal_oracle_over_full_blocks():
 
 
 # (outage hits, ASEP mean, ASEP standard error) of 150,003 trials at seed 41
-# in blocks of 100,000 on 2 workers, as the Generator.random streams give them
+# in blocks of 100,000 on 2 workers: the hits as the Generator.random streams
+# give them, the ASEP with hops drawn from each chunk's Gamma generator
 PINNED_STREAMS = [
-    ("nakagami_K3", 19_051, 0.03220870574416481, 0.00016883757879359023),
-    ("nakagami_K10", 18_767, 0.03152268957850392, 0.00016750465121879993),
-    ("unequal_hops_K4_N2", 83_906, 0.13960459838944733, 0.0003242298311386539),
+    ("nakagami_K3", 19_051, 0.032296655071735555, 0.0001692175911136683),
+    ("nakagami_K10", 18_767, 0.03171230266557254, 0.00016797730711902006),
+    ("unequal_hops_K4_N2", 83_906, 0.13965403421714748, 0.0003237673555144845),
 ]
 
 
@@ -474,7 +475,7 @@ def test_block_working_set_stays_small(simulate):
     # 16-point sweep: the working set is one chunk's, since each chunk
     # returns its partial sums and no buffer spans the block
     c = config(k=10, n=1, alpha=2.0, mu=2.0, snr=10.0)
-    simulate(c, McConfig(trials=1_000))  # builds the cached gate tables first
+    simulate(c, McConfig(trials=1_000))  # first calls outside the measurement
     tracemalloc.start()
     try:
         simulate(c, McConfig(trials=1_000_000, workers=1))

@@ -1,15 +1,10 @@
 """The special functions under the analytic core, each against an independent
 oracle: the regularized incomplete gamma P(a, x) behind the alpha-mu CDF,
-its inverse behind the Monte-Carlo sampler, the lower incomplete gamma
-(Meijer-G) kernel, the Gauss-Hermite rule of `asep` and its adaptive-Simpson
-cross-check.
-
-The inverse, `mcsim._gamma_quantile`, starts from a cached per-mu table of
-log z, linear in logit u, takes one Halley step on P(mu, z) - u (on
-(1 - u) - Q(mu, z) above u = 1/2) and falls back on gammaincinv where the
-step exceeds 1e-5·z or u is outside (0, 1). It must be within 1e-14
-relative of an mpmath quantile, equal gammaincinv bit for bit where it falls
-back, and stay far inside the Monte-Carlo gate's 1e-9 margin."""
+its inverse `scipy.special.gammaincinv` behind the hop inverse of the
+Monte-Carlo test oracles (`oracles.hop_inverse`), which must be within 1e-14
+relative of an mpmath quantile, the lower incomplete gamma (Meijer-G)
+kernel, the Gauss-Hermite rule of `asep` and its adaptive-Simpson
+cross-check."""
 
 import math
 import warnings
@@ -17,12 +12,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from oracles import alpha_mu_envelope_cdf, lower_gamma, mellin_barnes_lower_gamma
+from oracles import (alpha_mu_envelope_cdf, hop_inverse, lower_gamma,
+                     mellin_barnes_lower_gamma)
 from scipy.special import gammaincinv, roots_hermite
 
-from relaylink import analysis, mcsim
+from relaylink import analysis
 from relaylink.channels import AlphaMuParams
-from relaylink.mcsim import _alpha_mu_bulk, _gamma_quantile
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -34,9 +29,9 @@ def reg_lower_inc_gamma(a, x):
 
 
 def inv_reg_lower_inc_gamma(a, p):
-    """The x with P(a, x) = p through the library's sampler (alpha = 2,
+    """The x with P(a, x) = p through the oracles' hop inverse (alpha = 2,
     mean SNR = mu = a)."""
-    return float(_alpha_mu_bulk(AlphaMuParams(2.0, a, a), p))
+    return float(hop_inverse(AlphaMuParams(2.0, a, a), p))
 
 
 # ------------------------------------------------- reg_lower_inc_gamma
@@ -98,18 +93,17 @@ def test_inverse_round_trips():
 
 
 def test_inverse_domain():
-    # the sampler's uniforms lie in [0, 1): u = 0 must give SNR 0, not nan,
-    # and every u above it a positive SNR; u = 1 is the infinite end. Values
-    # outside (0, 1) take gammaincinv's own result, with no RuntimeWarning
-    edges = np.array([0.0, 1.0, -1.0, 2.0, np.nan, 1e-300, 5e-324])
+    # hop uniforms lie in [0, 1): u = 0 must give SNR 0, not nan, and every u
+    # above it a positive SNR; u = 1 is the infinite end. Values outside
+    # [0, 1] give nan, with no RuntimeWarning
     for a in (0.5, 1.0, 2.21, 40.62):
         assert inv_reg_lower_inc_gamma(a, 0.0) == 0.0
         assert inv_reg_lower_inc_gamma(a, 2.0 ** -53) > 0.0
         assert inv_reg_lower_inc_gamma(a, 1.0) == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _gamma_quantile(a, edges)
-        assert np.array_equal(got, gammaincinv(a, edges), equal_nan=True)
+            got = hop_inverse(AlphaMuParams(2.0, a, a), np.array([-1.0, 2.0, np.nan]))
+        assert np.isnan(got).all()
 
 
 # mpmath quantile oracle at the mu of the tested hops and u from the smallest
@@ -141,28 +135,9 @@ def mp_gamma_quantile(mu, u):
 def test_inverse_vs_mpmath_quantile(mu):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _gamma_quantile(mu, np.array(QUANTILE_US))
+        got = hop_inverse(AlphaMuParams(2.0, mu, mu), np.array(QUANTILE_US))
     for u, z in zip(QUANTILE_US, got):
         assert z == pytest.approx(mp_gamma_quantile(mu, u), rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize("mu,u,kept", [(2.0, 1e-300, 0.25), (0.005, 0.3, 0.9)])
-def test_inverse_rejected_halley_step_is_gammaincinv(monkeypatch, mu, u, kept):
-    # below the table's first point (u = 2**-54), or for a mu far below the
-    # ones the table resolves, the start is too far off: the Halley step is
-    # rejected and gammaincinv gives the value, bit for bit; the step at
-    # `kept` is accepted
-    _gamma_quantile(mu, kept)  # the table, built before gammaincinv is watched
-    seen = []
-
-    def watched(a, x):
-        seen.extend(x)
-        return gammaincinv(a, x)
-    monkeypatch.setattr(mcsim, "gammaincinv", watched)
-    got = _gamma_quantile(mu, np.array([u, kept]))
-    assert seen == [u]
-    assert got[0] == gammaincinv(mu, u)
-    assert got[1] == pytest.approx(gammaincinv(mu, kept), rel=1e-13)
 
 
 # --------------------------------------------------- Meijer-G CDF kernel

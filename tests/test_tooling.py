@@ -85,3 +85,17 @@ def test_one_nth_best_selection_for_both_metrics():
 
     assert users("_draw_words") == ["mcsim._nth_best_words"]
     assert users("_nth_best_words") == ["mcsim.simulate_outage_grid", "mcsim._end_to_end_snr"]
+
+
+def test_mc_hops_drawn_not_inverted():
+    # the Monte-Carlo kernels draw each alpha-mu hop from its Gamma law or
+    # compare its word with a limit: mcsim imports no incomplete gamma
+    # function or its inverse, and caches no table of one
+    tree = ast.parse((SRC / "mcsim.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert sorted(n for n in imported if n.startswith("gammainc")) == []
+    cached = [f"{func.name}:{func.lineno}" for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and {"lru_cache", "cache"} & set().union(*map(_names_used, func.decorator_list))]
+    assert cached == []
