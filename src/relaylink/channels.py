@@ -27,6 +27,8 @@ class AlphaMuParams:
     alpha is the power-nonlinearity parameter, mu the number of multipath
     clusters. mean_snr is the scale g of the SNR CDF P(mu, mu (gamma/g)^(alpha/2));
     the mean SNR is g Gamma(mu + 2/alpha) / (Gamma(mu) mu^(2/alpha)), 2g at (1, 1).
+    mu is at most 1e300: from about 2.5e305 SciPy's gammainc(mu, x) is nan
+    and math.lgamma(mu) overflows.
     """
 
     alpha: float
@@ -37,6 +39,8 @@ class AlphaMuParams:
         if not (0 < self.alpha < math.inf and 0 < self.mu < math.inf and self.mean_snr > 0):
             raise ValueError(f"alpha, mu must be finite and positive and mean_snr positive, "
                              f"got ({self.alpha}, {self.mu}, {self.mean_snr})")
+        if self.mu > 1e300:
+            raise ValueError(f"mu must be at most 1e300, got {self.mu}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Monte-Carlo verification engine.
 
-Counter-based RNG (Philox) with one independent stream per fixed-size trial
-block, which worker threads share in chunks of raw words drawn at their exact
-stream offsets, and the ASEP kernel draws each chunk's alpha-mu hops from
-its own counter range. Each chunk returns its partial sums, added in chunk
-order, so results are bit-identical for a given (seed, trials, batch) and
-chunk size whatever the number of workers.
+Trials run in blocks of `_CHUNK`, each driven by its own counter-based
+(Philox) stream, read from its start: the uplink and downlink words, then the
+two hop words (outage) or the two hops' Gamma draws (ASEP). Worker threads
+take whole blocks; each returns its partial sums, added in block order, so
+results are bit-identical for a given (seed, trials) whatever the number of
+workers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .analysis import PerfEstimate, SystemConfig
 from .channels import alpha_mu_snr_cdf
 
 DEFAULT_SEED = 20240915
-_CHUNK = 65_536  # trials per chunk, the unit of work of a worker thread
+_CHUNK = 65_536  # trials per block, the unit of work and memory of a worker thread
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,12 @@ class McConfig:
     trials: int
     seed: int = DEFAULT_SEED
     workers: int = 1
-    batch: int = 1_000_000
 
     def __post_init__(self):
         if not (isinstance(self.trials, int) and self.trials >= 1000):
             raise ValueError(f"trials must be an integer >= 1000, got {self.trials}")
         if not (isinstance(self.workers, int) and self.workers >= 1):
             raise ValueError(f"workers must be a positive integer, got {self.workers}")
-        if not (isinstance(self.batch, int) and self.batch >= 1):
-            raise ValueError(f"batch must be a positive integer, got {self.batch}")
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -46,49 +43,25 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream_id,))))
 
 
-def _blocks(mc: McConfig):
-    """(stream_id, block_size) pairs covering mc.trials in fixed order."""
-    out = []
-    done = 0
-    sid = 0
-    while done < mc.trials:
-        size = min(mc.batch, mc.trials - done)
-        out.append((sid, size))
-        done += size
-        sid += 1
-    return out
-
-
 def _map_blocks(fn, mc: McConfig):
-    """fn(stream_id, size, start, stop) for the chunks start..stop-1 of every
-    block, in block and chunk order, mapped over at most mc.workers threads."""
-    chunks = [(sid, size, a, min(a + _CHUNK, size))
-              for sid, size in _blocks(mc) for a in range(0, size, _CHUNK)]
+    """fn(i, size) for each block i of mc.trials, which holds its size =
+    min(_CHUNK, trials - i·_CHUNK) trials, in block order, mapped over at
+    most mc.workers threads."""
+    blocks = [(i, min(_CHUNK, mc.trials - a)) for i, a in enumerate(range(0, mc.trials, _CHUNK))]
     if mc.workers == 1:
-        return [fn(*chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=min(mc.workers, len(chunks))) as pool:
-        return list(pool.map(fn, *zip(*chunks)))
+        return [fn(*block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=min(mc.workers, len(blocks))) as pool:
+        return list(pool.map(fn, *zip(*blocks)))
 
 
-def _draw_words(c: SystemConfig, rng: np.random.Generator, size: int,
-                start=0, stop=None, hops=True):
-    """The raw 64-bit Philox words of trials start..stop-1 (default: all) of
-    a block of `size` trials, as drawn in order from its fresh stream rng: K
-    uplink words a trial, then the S->R, downlink and R->S words of all
-    trials; without the S->R and R->S words when hops is false. A counter
-    step makes four words, so the word at offset i is drawn from rng's key
-    after i // 4 steps and i % 4 discarded words."""
-    k, key = c.scheduling.k_total, rng.bit_generator.state["state"]["key"]
-    stop = size if stop is None else stop
-
-    def draw(offset, n):
-        bits = np.random.Philox(key=key).advance(offset // 4)
-        bits.random_raw(offset % 4)
-        return bits.random_raw(n)
-
-    n = stop - start
-    return (draw(start * k, n * k).reshape(n, k),
-            *(draw(size * (k + j) + start, n) for j in ((0, 1, 2) if hops else (1,))))
+def _draw_words(c: SystemConfig, rng: np.random.Generator, size: int, hops=True):
+    """The raw 64-bit Philox words of a block of `size` trials, drawn in
+    order from its fresh stream rng: K uplink words a trial, then the
+    downlink, S->R and R->S words of all trials; without the S->R and R->S
+    words when hops is false."""
+    k, bits = c.scheduling.k_total, rng.bit_generator
+    return (bits.random_raw(size * k).reshape(size, k),
+            *(bits.random_raw(size) for _ in range(3 if hops else 1)))
 
 
 def _to_uniforms(w):
@@ -115,24 +88,23 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
     the N-th best uplink among them, is in outage exactly when its word
     (`_nth_best_words`) is at most the `_word_limit` of its CDF at the
     threshold. The configs must share K and N, which alone fix those words,
-    so each chunk is drawn and selected once and compared once per config;
+    so each block is drawn and selected once and compared once per config;
     every estimate equals that of a run of its config alone.
     """
     if len({(c.scheduling.k_total, c.scheduling.n_order) for c in configs}) > 1:
         raise ValueError("the configs of one outage grid must share K and N")
     limits = [tuple(map(_word_limit, (
         -math.expm1(-c.gamma_th / c.scheduling.uplink_mean_snr),
-        alpha_mu_snr_cdf(c.sr_model, c.gamma_th),
         -math.expm1(-c.gamma_th / c.scheduling.downlink_mean_snr),
+        alpha_mu_snr_cdf(c.sr_model, c.gamma_th),
         alpha_mu_snr_cdf(c.rs_model, c.gamma_th)))) for c in configs]
 
-    def block(stream_id, size, start, stop):
-        w_nth, w_sr, w_dn, w_rs = _nth_best_words(
-            configs[0], rng_stream(mc.seed, stream_id), size, start, stop)
+    def block(i, size):
+        w_nth, w_dn, w_sr, w_rs = _nth_best_words(configs[0], rng_stream(mc.seed, i), size)
         hits = np.zeros(len(limits), np.int64)
-        for j, (l_nth, l_sr, l_dn, l_rs) in enumerate(limits):
+        for j, (l_nth, l_dn, l_sr, l_rs) in enumerate(limits):
             hits[j] = np.count_nonzero(
-                (w_nth <= l_nth) | (w_sr <= l_sr) | (w_dn <= l_dn) | (w_rs <= l_rs))
+                (w_nth <= l_nth) | (w_dn <= l_dn) | (w_sr <= l_sr) | (w_rs <= l_rs))
         return hits
 
     hits = sum(_map_blocks(block, mc))
@@ -145,16 +117,14 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
     return estimates
 
 
-def _nth_best_words(c: SystemConfig, rng: np.random.Generator, size: int,
-                    start=0, stop=None, hops=True):
+def _nth_best_words(c: SystemConfig, rng: np.random.Generator, size: int, hops=True):
     """The N-th largest of each trial's K uplink words (`_draw_words`), a
-    column of the uplink block selected in place, and its S->R, downlink and
-    R->S words (the downlink word alone when hops is false), for trials
-    start..stop-1 (default: all) of a block. Every link SNR is monotone in
-    its word, so the N-th best uplink, which the relay serves, is that of
-    the N-th largest word."""
+    column of the uplink words selected in place, and the other link words,
+    of a block of `size` trials. Every link SNR is monotone in its word, so
+    the N-th best uplink, which the relay serves, is that of the N-th
+    largest word."""
     k, n = c.scheduling.k_total, c.scheduling.n_order
-    w_up, *links = _draw_words(c, rng, size, start, stop, hops)
+    w_up, *links = _draw_words(c, rng, size, hops)
     w_nth = w_up[:, k - n]  # the N-th largest word, (K - N)-th in ascending order
     if n in (1, k):  # by a running maximum (N = 1) or minimum (N = K), at K = 3 in
         pick = np.maximum if n == 1 else np.minimum  # under a tenth of the partition's time;
@@ -166,31 +136,25 @@ def _nth_best_words(c: SystemConfig, rng: np.random.Generator, size: int,
     return w_nth, *links
 
 
-def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int,
-                    start=0, stop=None):
-    """Per-trial end-to-end SNR of trials start..stop-1 (default: all) of a
-    block, which lie in one chunk of `_map_blocks`: the minimum of the N-th
-    best uplink and the downlink, by inverse transform from the words the
-    outage kernel compares (`_nth_best_words`, without the hop words), and
-    of the two alpha-mu hops (`_hop_snrs`)."""
+def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int):
+    """Per-trial end-to-end SNR of a block of `size` trials from its fresh
+    stream rng: the minimum of the N-th best uplink and the downlink, by
+    inverse transform from the words the outage kernel compares
+    (`_nth_best_words`, without the hop words), and of the two alpha-mu hops
+    (`_hop_snrs`), drawn from rng after those words."""
     sched = c.scheduling
-    u_nth, u_dn = map(_to_uniforms, _nth_best_words(c, rng, size, start, stop, hops=False))
+    u_nth, u_dn = map(_to_uniforms, _nth_best_words(c, rng, size, hops=False))
     m = np.minimum(-sched.uplink_mean_snr * np.log1p(-u_nth),
                    -sched.downlink_mean_snr * np.log1p(-u_dn))
-    for g in _hop_snrs(c, rng, start, m.size):
+    for g in _hop_snrs(c, rng, size):
         np.minimum(m, g, out=m)
     return m
 
 
-def _hop_snrs(c: SystemConfig, rng: np.random.Generator, start: int, n: int):
-    """The S->R and R->S SNRs of n trials from start, a chunk start of a
-    block: `_snr_of_gamma` of G ~ Gamma(mu) by `standard_gamma`, S->R first,
-    from the chunk's own generator: the key of the block's stream rng at
-    counter (1 + start // _CHUNK)·2**128, so no two chunks share draws and
-    none reads the block's words, whose counters stay far below 2**128."""
-    gen = np.random.Generator(np.random.Philox(
-        key=rng.bit_generator.state["state"]["key"], counter=(1 + start // _CHUNK) << 128))
-    return [_snr_of_gamma(p, gen.standard_gamma(p.mu, n)) for p in (c.sr_model, c.rs_model)]
+def _hop_snrs(c: SystemConfig, rng: np.random.Generator, size: int):
+    """The S->R and R->S SNRs of `size` trials: `_snr_of_gamma` of
+    G ~ Gamma(mu) by rng's `standard_gamma`, S->R first."""
+    return [_snr_of_gamma(p, rng.standard_gamma(p.mu, size)) for p in (c.sr_model, c.rs_model)]
 
 
 def _snr_of_gamma(p, g):
@@ -213,18 +177,19 @@ def simulate_asep_grid(c: SystemConfig, scales, mc: McConfig) -> list[PerfEstima
 
     Each link SNR is computed as its scale times a variate that depends on
     the block's stream alone, a uniform or a Gamma(mu) draw (the alpha-mu law
-    is a scale family in its scale, and so is the exponential). When c's four scales are 1, those variates are
-    its link SNRs, and rounding is monotone, so s times its end-to-end SNR
-    (a minimum of link SNRs) is, bit for bit, that of c with its scales set
-    to s: the estimate for s equals `simulate_asep` of that config. Each
-    chunk computes its SNRs once, writes the errors of each scale in turn
-    into one chunk-sized buffer and returns their pairwise `np.sum` and sum
-    of squares; the estimate is the `math.fsum` of those over all chunks.
+    is a scale family in its scale, and so is the exponential). When c's
+    four scales are 1, those variates are its link SNRs, and rounding is
+    monotone, so s times its end-to-end SNR (a minimum of link SNRs) is, bit
+    for bit, that of c with its scales set to s: the estimate for s equals
+    `simulate_asep` of that config. Each block computes its SNRs once,
+    writes the errors of each scale in turn into one block-sized buffer and
+    returns their pairwise `np.sum` and sum of squares; the estimate is the
+    `math.fsum` of those over all blocks.
     """
     a, b = c.mod_a, c.mod_b
 
-    def block(stream_id, size, start, stop):
-        g = _end_to_end_snr(c, rng_stream(mc.seed, stream_id), size, start, stop)
+    def block(i, size):
+        g = _end_to_end_snr(c, rng_stream(mc.seed, i), size)
         pe = np.empty_like(g)  # the errors of each scale in turn, as g serves them all
         sums = []
         for s in scales:  # (a/2) erfc(sqrt(b·s·g)), ufunc by ufunc
@@ -236,10 +201,10 @@ def simulate_asep_grid(c: SystemConfig, scales, mc: McConfig) -> list[PerfEstima
             sums.append((float(np.sum(pe)), float(np.sum(np.square(pe, out=pe)))))
         return sums
 
-    per_chunk = _map_blocks(block, mc)
+    per_block = _map_blocks(block, mc)
     n = mc.trials
     estimates = []
-    for sums in zip(*per_chunk):
+    for sums in zip(*per_block):
         mean = math.fsum(s for s, _ in sums) / n
         var = max(math.fsum(q for _, q in sums) / n - mean * mean, 0.0)
         estimates.append(PerfEstimate(min(max(mean, 0.0), 1.0), method="monte_carlo",

@@ -9,7 +9,7 @@ Sections and keys (dB variants carry a _db suffix and are converted with
     [sr_link]     alpha, mu, mean_snr | mean_snr_db
     [rs_link]     alpha, mu, mean_snr | mean_snr_db
     [modulation]  a, b                      (optional, defaults 1, 1)
-    [mc]          trials, seed, workers, batch  (optional)
+    [mc]          trials, seed, workers     (optional)
 
 Parsing is fail-closed: unknown sections or keys raise ScenarioError rather
 than being ignored.
@@ -45,7 +45,7 @@ _SCHEMA = {
     "sr_link": {"alpha", "mu", "mean_snr", "mean_snr_db"},
     "rs_link": {"alpha", "mu", "mean_snr", "mean_snr_db"},
     "modulation": {"a", "b"},
-    "mc": {"trials", "seed", "workers", "batch"},
+    "mc": {"trials", "seed", "workers"},
 }
 _REQUIRED_SECTIONS = ("scheduling", "uplink", "downlink", "sr_link", "rs_link")
 
@@ -163,7 +163,7 @@ def serialize_scenario(sc: Scenario) -> str:
     cp["modulation"] = {"a": repr(c.mod_a), "b": repr(c.mod_b)}
     if sc.mc is not None:
         cp["mc"] = {"trials": str(sc.mc.trials), "seed": str(sc.mc.seed),
-                    "workers": str(sc.mc.workers), "batch": str(sc.mc.batch)}
+                    "workers": str(sc.mc.workers)}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

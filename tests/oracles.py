@@ -6,8 +6,8 @@ expanded inclusion-exclusion form of the total outage, the best-of-K CDF
 binomial expansion of the N-th-best CDF, the lower incomplete gamma function
 as a Mellin-Barnes contour integral, and the Monte-Carlo estimators with
 each block drawn in sequence and built whole, the alpha-mu hops either
-drawn chunk by chunk as the kernel draws them or inverted from the block's
-hop uniforms. The alpha-mu SNR and
+drawn from the block's Gamma variates, as the kernel draws them, or inverted
+from the block's hop uniforms. The alpha-mu SNR and
 envelope densities and the envelope moments are here too: the library needs
 none of them, and the tests integrate the densities against its CDF and
 substitute the moments into its fits. The envelope CDF is the library's one
@@ -136,42 +136,34 @@ def mellin_barnes_lower_gamma(mu, z, tmax=200.0, dt=1e-3):
     return float((np.trapezoid(vals, dx=dt) / (2.0 * math.pi)).real)
 
 
+def blocks(mc):
+    """(stream id, trials) of each block of mc.trials: as many full blocks
+    of `mcsim._CHUNK` trials as fit, then one of the rest, if any."""
+    full, rest = divmod(mc.trials, mcsim._CHUNK)
+    return [(i, mcsim._CHUNK) for i in range(full)] + ([(full, rest)] if rest else [])
+
+
 def block_uniforms(c, rng, size):
     """A block's uniforms drawn in sequence from its stream rng: K uplink
-    variates a trial, then the S->R, downlink and R->S variates of all
+    variates a trial, then the downlink, S->R and R->S variates of all
     trials."""
     return (rng.random((size, c.scheduling.k_total)), rng.random(size),
             rng.random(size), rng.random(size))
 
 
-def chunk_hop_snrs(c, key, size):
-    """The S->R and R->S SNRs of a block of `size` trials whose stream has
-    Philox key `key`, built chunk by chunk: for the j-th chunk of
-    `mcsim._CHUNK` trials, a generator on that key, advanced (j + 1)·2**128
-    counter steps from 0, draws the chunk's S->R then its R->S Gamma(mu)
-    variates G, and each hop SNR is mean_snr·(G/mu)**(2/alpha)."""
-    hops = ([], [])
-    for j, start in enumerate(range(0, size, mcsim._CHUNK)):
-        n = min(mcsim._CHUNK, size - start)
-        gen = np.random.Generator(np.random.Philox(key=key).advance((j + 1) << 128))
-        for out, p in zip(hops, (c.sr_model, c.rs_model)):
-            out.append(p.mean_snr * np.power(gen.standard_gamma(p.mu, n) / p.mu,
-                                             2.0 / p.alpha))
-    return tuple(np.concatenate(out) for out in hops)
-
-
 def end_to_end_snr_full(c, rng, size):
     """End-to-end SNR of a block of `size` trials from its fresh stream rng,
-    with every link transformed: log1p on all K uplink columns of
-    `block_uniforms`, a full sort, the downlink, and both alpha-mu hops of
-    `chunk_hop_snrs`."""
+    with every link transformed: log1p on all K uplink variates, drawn as
+    in `block_uniforms`, a full sort, the downlink, and then the S->R and
+    R->S hops mean_snr·(G/mu)**(2/alpha) of Gamma(mu) variates G drawn in
+    turn from rng."""
     sched = c.scheduling
-    key = rng.bit_generator.state["state"]["key"]
-    u_up, _, u_dn, _ = block_uniforms(c, rng, size)
+    u_up, u_dn = rng.random((size, sched.k_total)), rng.random(size)
     g_up_all = -sched.uplink_mean_snr * np.log1p(-u_up)
     g_up = np.sort(g_up_all, axis=1)[:, sched.k_total - sched.n_order]
     g_dn = -sched.downlink_mean_snr * np.log1p(-u_dn)
-    g_sr, g_rs = chunk_hop_snrs(c, key, size)
+    g_sr, g_rs = (p.mean_snr * np.power(rng.standard_gamma(p.mu, size) / p.mu, 2.0 / p.alpha)
+                  for p in (c.sr_model, c.rs_model))
     return np.minimum(np.minimum(g_up, g_sr), np.minimum(g_dn, g_rs))
 
 
@@ -186,7 +178,7 @@ def end_to_end_snr_inverse(c, rng, size):
     from its uniform of `block_uniforms`, the alpha-mu hops by `hop_inverse`:
     the SNR whose threshold test is the outage kernel's word compare."""
     sched = c.scheduling
-    u_up, u_sr, u_dn, u_rs = block_uniforms(c, rng, size)
+    u_up, u_dn, u_sr, u_rs = block_uniforms(c, rng, size)
     g_up = np.sort(-sched.uplink_mean_snr * np.log1p(-u_up), axis=1)[
         :, sched.k_total - sched.n_order]
     g_dn = -sched.downlink_mean_snr * np.log1p(-u_dn)
@@ -204,8 +196,8 @@ def simulate_outage_blocks(c, mc):
     f_rs = alpha_mu_snr_cdf(c.rs_model, c.gamma_th)
     need = sched.k_total - sched.n_order + 1
     hits = 0
-    for sid, size in mcsim._blocks(mc):
-        u_up, u_sr, u_dn, u_rs = block_uniforms(c, mcsim.rng_stream(mc.seed, sid), size)
+    for sid, size in blocks(mc):
+        u_up, u_dn, u_sr, u_rs = block_uniforms(c, mcsim.rng_stream(mc.seed, sid), size)
         up_out = np.count_nonzero(u_up <= f_ray, axis=1) >= need
         out = up_out | (u_sr <= f_sr) | (u_dn <= f_dn) | (u_rs <= f_rs)
         hits += int(np.count_nonzero(out))
@@ -214,16 +206,14 @@ def simulate_outage_blocks(c, mc):
 
 
 def simulate_asep_blocks(c, mc):
-    """(value, std_error) of the ASEP estimate, one whole block at a time:
-    `end_to_end_snr_full`, summed in slices of `mcsim._CHUNK` trials, as the
-    estimator sums its chunks."""
+    """(value, std_error) of the ASEP estimate, one whole block at a time
+    from `end_to_end_snr_full`."""
     a, b = c.mod_a, c.mod_b
     sums = []
-    for sid, size in mcsim._blocks(mc):
-        g = end_to_end_snr_full(c, mcsim.rng_stream(mc.seed, sid), size)
-        pe = 0.5 * a * erfc(np.sqrt(b * g))
-        sums += [(float(np.sum(part)), float(np.sum(part * part)))
-                 for part in np.split(pe, range(mcsim._CHUNK, size, mcsim._CHUNK))]
+    for sid, size in blocks(mc):
+        pe = 0.5 * a * erfc(np.sqrt(b * end_to_end_snr_full(
+            c, mcsim.rng_stream(mc.seed, sid), size)))
+        sums.append((float(np.sum(pe)), float(np.sum(pe * pe))))
     n = mc.trials
     mean = math.fsum(s for s, _ in sums) / n
     var = max(math.fsum(q for _, q in sums) / n - mean * mean, 0.0)

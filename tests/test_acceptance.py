@@ -157,17 +157,17 @@ def test_criterion_1_published_fit_table():
 # ------------------------------------------------------------ criterion 2
 
 # The MC outage hits of criterion 2's points, at 5, 10, ..., 40 dB, as one
-# simulate_outage run per point gave them (1e7 trials, seed 101, 4 workers).
+# simulate_outage run per point gave them (1e7 trials in 153 blocks, seed 101).
 # Each config's points share one pass of the sweep engine, which must give
 # every point the estimate of its own run.
 CRITERION_2_HITS = {
-    "nakagami K3 N1": [4625807, 1273519, 348446, 103352, 31857, 9918, 3089, 1001],
-    "nakagami K3 N3": [7876853, 3529778, 1221668, 395895, 125611, 39876, 12658, 3994],
-    "exponential K3 N1": [7677587, 5193395, 3208977, 1893316, 1091197, 621200, 351889,
-                          198560],
-    "rayleigh K3 N1": [6202074, 2597899, 904217, 295095, 93687, 30005, 9383, 2959],
-    "very weak K3 N1": [3600094, 998342, 312748, 99525, 31463, 9879, 3088, 1001],
-    "severe K3 N3": [9043606, 6445050, 3873107, 2162167, 1169966, 623001, 328777, 171197],
+    "nakagami K3 N1": [4626760, 1271543, 348122, 102956, 31955, 9841, 3012, 932],
+    "nakagami K3 N3": [7877864, 3527980, 1220831, 394854, 126289, 39806, 12482, 3936],
+    "exponential K3 N1": [7679650, 5195893, 3208659, 1891735, 1090536, 621006, 351104,
+                          198412],
+    "rayleigh K3 N1": [6204826, 2595647, 903894, 294700, 94186, 29811, 9279, 2885],
+    "very weak K3 N1": [3600320, 996751, 312367, 99160, 31576, 9809, 3011, 931],
+    "severe K3 N3": [9044048, 6447637, 3873365, 2160509, 1169821, 622881, 327600, 171515],
 }
 
 
@@ -364,6 +364,7 @@ def test_criterion_7_identity_suite():
 
 # ------------------------------------------------------------ criterion 8
 
+# 500,000 trials: 7 blocks of 65,536 and a partial eighth of 41,248
 SCENARIO_TEXT = """\
 [scheduling]
 k_total = 3
@@ -387,8 +388,7 @@ mu = 2
 mean_snr_db = 10
 
 [mc]
-trials = 40000
-batch = 5000
+trials = 500000
 """
 
 

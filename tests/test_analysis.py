@@ -236,6 +236,16 @@ def test_asymptotic_terms_beyond_float_range(k, n, alpha, mu, snr):
             float(log_c + order * mpmath.log(lam)), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.01, 2.0, 100.0])
+def test_largest_mu_gives_finite_values(alpha):
+    # mu = 1e300, the largest AlphaMuParams accepts, on both hops
+    c = config(k=3, n=1, alpha=alpha, mu=1e300, snr=10.0)
+    report = classify_asymptotics(c)
+    assert all(math.isfinite(v) for v in (total_outage(c).value, asymptotic_outage(c).value,
+                                          asep(c).value, report.diversity_order,
+                                          *report.coding_gain_terms.values()))
+
+
 def test_asymptotic_vanishing_threshold():
     c = config(**ALL_EXP, snr=1.0, gamma_th=1e-12)
     assert asymptotic_outage(c).value == pytest.approx(0.0, abs=1e-10)
@@ -471,10 +481,10 @@ def scaled(c, up, down, sr, rs):
 
 
 # the MC column of sweep() against simulate_outage / simulate_asep point by
-# point: (trials, batch, workers), with a batch that divides neither the
-# trials nor the chunk, and blocks of more than one chunk
-SWEEP_MC = [(23_333, 4_999, 1), (23_333, 4_999, 2), (23_333, 4_999, 3),
-            (140_003, 1_000_000, 2)]
+# point: (trials, block size `mcsim._CHUNK`, workers), in 8 blocks of 2,999
+# trials with a partial last one, then in the real blocks of 65,536
+SWEEP_MC = [(23_333, 2_999, 1), (23_333, 2_999, 2), (23_333, 2_999, 3),
+            (140_003, 65_536, 2)]
 _UNEQUAL_HOPS = config(k=3, n=2, alpha=0.5803, mu=2.703, alpha2=2.0, mu2=2.0)
 _NAKAGAMI = config(k=3, n=2, alpha=2.0, mu=2.0)
 # outage points of three K values, interleaved, at equal and unequal scales
@@ -518,12 +528,13 @@ SWEEP_GRIDS = [
 
 @pytest.mark.parametrize("metric", ["outage", "asep"])
 @pytest.mark.parametrize("base,variable,grid", SWEEP_GRIDS)
-def test_sweep_mc_equals_per_point_bit_for_bit(base, variable, grid, metric):
+def test_sweep_mc_equals_per_point_bit_for_bit(base, variable, grid, metric, monkeypatch):
     from relaylink import mcsim
     simulate = mcsim.simulate_outage if metric == "outage" else mcsim.simulate_asep
     pts = grid if base is None else points(base, variable, grid)
-    for trials, batch, workers in SWEEP_MC:
-        mc = mcsim.McConfig(trials=trials, seed=41, workers=workers, batch=batch)
+    for trials, chunk, workers in SWEEP_MC:
+        monkeypatch.setattr(mcsim, "_CHUNK", chunk)
+        mc = mcsim.McConfig(trials=trials, seed=41, workers=workers)
         assert (analysis._mc_column(pts, metric, mc)
                 == [simulate(c, mc) for _, c in pts])
     # whole rows, wherever the analytic value exists at every point

@@ -322,6 +322,11 @@ def test_fading_model_invariants():
                 (math.nan, 1.0, 1.0)):
         with pytest.raises(ValueError, match="alpha, mu must be finite and positive"):
             AlphaMuParams(*bad)
+    # past about 2.5e305 SciPy's gammainc(mu, x) is nan and math.lgamma(mu) overflows
+    assert AlphaMuParams(2.0, 1e300, 1.0).mu == 1e300
+    for mu in (2.6e305, 1.7e308):
+        with pytest.raises(ValueError, match="mu must be at most 1e300"):
+            AlphaMuParams(2.0, mu, 1.0)
     for bad in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="finite and positive"):
             GammaGammaParams(*bad)

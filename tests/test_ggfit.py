@@ -53,6 +53,13 @@ def test_fit_converges_with_one_large_parameter(eta, beta):
     assert fit.converged and fit.residual_norm <= 1e-8
 
 
+def test_fit_converges_with_both_parameters_large():
+    # the root has mu ~ 2.3e6, where the log-gamma difference of the moment
+    # ratios must keep its relative accuracy (by poch) for a 1e-8 residual
+    fit = fit_alpha_mu(GammaGammaParams(1e7, 3e6))
+    assert fit.converged and fit.residual_norm <= 1e-8
+
+
 @pytest.mark.parametrize("eta,beta", itertools.product([1e-300, 1e-20, 1e12, 1e300],
                                                        repeat=2))
 def test_fit_extreme_pairs_fail_only_by_nonconvergence(eta, beta):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (block_uniforms, end_to_end_snr_full, end_to_end_snr_inverse,
+from oracles import (blocks, end_to_end_snr_full, end_to_end_snr_inverse,
                      simulate_asep_blocks, simulate_outage_blocks)
 from scipy.special import gammainc
 from scipy.stats import ks_2samp, kstest
@@ -112,30 +112,31 @@ def test_simulate_asep_repeatable():
     assert simulate_asep(c, m) == simulate_asep(c, m)
 
 
+# trials in 8 blocks of 5,000 (outage) or 3,000 (ASEP), the last one partial
 @pytest.mark.parametrize("workers", [2, 4, 8])
-def test_partition_invariance_outage(workers):
+def test_partition_invariance_outage(workers, monkeypatch):
+    monkeypatch.setattr(mcsim, "_CHUNK", 5_000)
     c = config(k=3, n=2, snr=4.0)
-    base = simulate_outage(c, McConfig(trials=40_000, seed=11, workers=1,
-                                       batch=5_000))
-    other = simulate_outage(c, McConfig(trials=40_000, seed=11, workers=workers,
-                                        batch=5_000))
+    base = simulate_outage(c, McConfig(trials=37_003, seed=11, workers=1))
+    other = simulate_outage(c, McConfig(trials=37_003, seed=11, workers=workers))
     assert base == other
 
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
-def test_partition_invariance_asep(workers):
+def test_partition_invariance_asep(workers, monkeypatch):
+    monkeypatch.setattr(mcsim, "_CHUNK", 3_000)
     c = config(k=2, n=1, alpha=2.0, mu=2.0, snr=10.0)
-    base = simulate_asep(c, McConfig(trials=24_000, seed=11, workers=1,
-                                     batch=5_000))
-    other = simulate_asep(c, McConfig(trials=24_000, seed=11, workers=workers,
-                                      batch=5_000))
+    base = simulate_asep(c, McConfig(trials=23_999, seed=11, workers=1))
+    other = simulate_asep(c, McConfig(trials=23_999, seed=11, workers=workers))
     assert base.value == other.value
     assert base.std_error == other.std_error
 
 
-def test_block_layout_fixed_by_trials_and_batch():
-    m = McConfig(trials=10_500, seed=1, batch=4_000)
-    assert mcsim._blocks(m) == [(0, 4000), (1, 4000), (2, 2500)]
+def test_block_layout_fixed_by_trials():
+    # block i is stream i and holds min(_CHUNK, trials - i·_CHUNK) trials
+    layout = mcsim._map_blocks(lambda i, size: (i, size), McConfig(trials=140_003, workers=2))
+    assert layout == [(0, 65_536), (1, 65_536), (2, 8_931)]
+    assert layout == blocks(McConfig(trials=140_003))
 
 
 # ----------------------------------------------------------- estimates
@@ -174,16 +175,14 @@ def test_estimator_unbiased_coverage():
 # ----------------------------------------------------- sampler parity
 
 def test_bulk_alpha_mu_sampler_matches_scalar():
-    # the kernel's hops of a chunk, drawn and transformed as arrays, against
-    # the same chunk generator's Gamma draws taken and transformed one value
-    # at a time; each hop SNR inverts through the CDF to P(mu, G)
+    # the kernel's hops, drawn and transformed as arrays, against the same
+    # generator's Gamma draws taken and transformed one value at a time;
+    # each hop SNR inverts through the CDF to P(mu, G)
     c = SystemConfig(scheduling=SchedulingSpec(3, 1, 10.0, 10.0),
                      sr_model=AlphaMuParams(1.68, 1.85, 10.0),
                      rs_model=AlphaMuParams(*SEVERE_B, 3.7), gamma_th=1.0)
-    rng = rng_stream(5, 0)
-    bulk = mcsim._hop_snrs(c, rng, mcsim._CHUNK, 500)
-    key = rng.bit_generator.state["state"]["key"]
-    gen = np.random.Generator(np.random.Philox(key=key, counter=2 << 128))
+    bulk = mcsim._hop_snrs(c, rng_stream(5, 0), 500)
+    gen = rng_stream(5, 0)
     for p, hop in zip((c.sr_model, c.rs_model), bulk):
         gs = [gen.standard_gamma(p.mu) for _ in range(hop.size)]
         for g, x in zip(gs, hop):
@@ -210,7 +209,7 @@ def test_per_link_marginals_match_cdfs():
              np.max(pit - np.arange(0, n) / n))
     assert ks < 1.36 / math.sqrt(n)
 
-    g_sr = mcsim._hop_snrs(c, rng_stream(77, 0), 0, 50_000)[0]
+    g_sr = mcsim._hop_snrs(c, rng_stream(77, 0), 50_000)[0]
     pit = np.sort([alpha_mu_snr_cdf(c.sr_model, float(g)) for g in g_sr])
     n = pit.size
     ks = max(np.max(np.arange(1, n + 1) / n - pit),
@@ -225,14 +224,15 @@ def test_per_link_marginals_match_cdfs():
     assert u_rs.shape == (trials,)
 
 
-def test_indicator_fast_path_equals_snr_path():
+def test_indicator_fast_path_equals_snr_path(monkeypatch):
     # the threshold-comparison fast path and the SNRs inverted from the same
     # words must flag exactly the same trials, block by block
+    monkeypatch.setattr(mcsim, "_CHUNK", 10_000)
     c = config(k=4, n=2, alpha=1.68, mu=1.85, snr=8.0, gamma_th=2.0)
-    m = McConfig(trials=30_000, seed=21, batch=10_000)
+    m = McConfig(trials=30_000, seed=21)
     fast = simulate_outage(c, m)
     hits = 0
-    for sid, size in mcsim._blocks(m):
+    for sid, size in blocks(m):
         g = end_to_end_snr_inverse(c, rng_stream(m.seed, sid), size)
         hits += int(np.count_nonzero(g <= c.gamma_th))
     assert fast.value == hits / m.trials
@@ -240,13 +240,13 @@ def test_indicator_fast_path_equals_snr_path():
 
 @pytest.mark.parametrize("alpha,mu", [(0.537, 2.022), (0.5007, 40.62), (0.3, 0.3)])
 def test_kernel_hop_snrs_follow_the_alpha_mu_law(alpha, mu):
-    # the hop SNRs the ASEP kernel draws, one chunk of each hop at unequal
+    # the hop SNRs the ASEP kernel draws, one block of each hop at unequal
     # scales, against the alpha-mu CDF; at alpha = mu = 0.3 they span about
     # 150 decades below the median
     c = SystemConfig(scheduling=SchedulingSpec(3, 1, 10.0, 10.0),
                      sr_model=AlphaMuParams(alpha, mu, 10.0),
                      rs_model=AlphaMuParams(alpha, mu, 0.01), gamma_th=1.0)
-    hops = mcsim._hop_snrs(c, rng_stream(DEFAULT_SEED, 0), mcsim._CHUNK, mcsim._CHUNK)
+    hops = mcsim._hop_snrs(c, rng_stream(DEFAULT_SEED, 0), mcsim._CHUNK)
     for p, g in zip((c.sr_model, c.rs_model), hops):
         assert kstest(g, lambda x, p=p: alpha_mu_snr_cdf(p, x)).pvalue > 1e-3
 
@@ -270,11 +270,9 @@ def test_end_to_end_snr_equals_full_construction(k, n, sr, rs, snr_db):
     c = SystemConfig(scheduling=SchedulingSpec(k, n, snr, 0.5 * snr),
                      sr_model=AlphaMuParams(*sr, 2.0 * snr),
                      rs_model=AlphaMuParams(*rs, snr), gamma_th=1.0)
-    m = McConfig(trials=40_000, seed=31, batch=25_000)  # two blocks
-    assert len(mcsim._blocks(m)) == 2
-    for sid, size in mcsim._blocks(m):
-        fast = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
-        full = end_to_end_snr_full(c, rng_stream(m.seed, sid), size)
+    for sid, size in [(0, 25_000), (1, 15_000)]:  # blocks of two streams
+        fast = mcsim._end_to_end_snr(c, rng_stream(31, sid), size)
+        full = end_to_end_snr_full(c, rng_stream(31, sid), size)
         assert np.array_equal(fast, full)
 
 
@@ -286,10 +284,9 @@ def test_end_to_end_snr_equals_full_construction_at_extreme_scales(sr_scale, rs_
     c = SystemConfig(scheduling=SchedulingSpec(4, 2, snr, 0.5 * snr),
                      sr_model=AlphaMuParams(*VERY_WEAK, sr_scale * snr),
                      rs_model=AlphaMuParams(*VERY_WEAK, rs_scale * snr), gamma_th=1.0)
-    m = McConfig(trials=40_000, seed=31, batch=25_000)
-    for sid, size in mcsim._blocks(m):
-        fast = mcsim._end_to_end_snr(c, rng_stream(m.seed, sid), size)
-        full = end_to_end_snr_full(c, rng_stream(m.seed, sid), size)
+    for sid, size in [(0, 25_000), (1, 15_000)]:
+        fast = mcsim._end_to_end_snr(c, rng_stream(31, sid), size)
+        full = end_to_end_snr_full(c, rng_stream(31, sid), size)
         assert np.array_equal(fast, full)
 
 
@@ -320,18 +317,22 @@ GATE_PAIRS = [(alpha, mu)
               for mu in (0.3, 1.0, SEVERE_B[1], VERY_WEAK[1], 60.0)]
 
 
+def block_hops(c, rng, size):
+    """The kernel's S->R and R->S SNRs of a block of `size` trials: its hop
+    draws, which follow the uplink and downlink words in its fresh stream rng."""
+    mcsim._draw_words(c, rng, size, hops=False)
+    return mcsim._hop_snrs(c, rng, size)
+
+
 def test_alpha_mu_gate_never_skips_a_lower_hop():
     # the kernel gates no hop out of the minimum: with the uplink and downlink
-    # means at 1e300, every trial's end-to-end SNR is its lower hop, here in
-    # a block's second chunk, whose hops come from their own counter range
-    size = mcsim._CHUNK + 3_000
+    # means at 1e300, every trial's end-to-end SNR is its lower hop
     for alpha, mu in GATE_PAIRS:
         c = SystemConfig(scheduling=SchedulingSpec(3, 2, 1e300, 1e300),
                          sr_model=AlphaMuParams(alpha, mu, 3.7),
                          rs_model=AlphaMuParams(alpha, mu, 0.5), gamma_th=1.0)
-        rng = rng_stream(13, 1)
-        g = mcsim._end_to_end_snr(c, rng, size, mcsim._CHUNK, size)
-        g_sr, g_rs = mcsim._hop_snrs(c, rng, mcsim._CHUNK, 3_000)
+        g = mcsim._end_to_end_snr(c, rng_stream(13, 1), 3_000)
+        g_sr, g_rs = block_hops(c, rng_stream(13, 1), 3_000)
         assert np.array_equal(g, np.minimum(g_sr, g_rs))
 
 
@@ -348,7 +349,7 @@ def test_hop_floor_gate_at_table_points(alpha, mu, scale):
     size = 4_000
     g = mcsim._end_to_end_snr(c, rng_stream(17, 0), size)
     assert np.array_equal(g, end_to_end_snr_full(c, rng_stream(17, 0), size))
-    g_sr, g_rs = mcsim._hop_snrs(c, rng_stream(17, 0), 0, size)
+    g_sr, g_rs = block_hops(c, rng_stream(17, 0), size)
     assert np.all((g <= g_sr) & (g <= g_rs) & (g >= 0.0))
 
 
@@ -368,30 +369,17 @@ def test_asep_matches_quadrature_at_small_alpha_mu():
     assert abs(est.value - asep(c).value) < 4.0 * est.std_error
 
 
-# ------------------------------------------------------- chunked blocks
+# ------------------------------------------------------------ blocks
 
-@pytest.mark.parametrize("size,start,stop", [
-    (10, 0, 10), (4_999, 0, None), (4_999, 1, 4_998), (4_999, 4_997, 4_999),
-    (70_001, 65_536, 70_001), (70_001, 3, 65_539),
-])
-@pytest.mark.parametrize("k", [1, 3, 16])
-def test_chunk_uniforms_equal_sequential_block_rows(size, start, stop, k):
-    # each segment of a chunk starts at an offset into the block's stream
-    # that is a multiple of 4 or not, by the choice of start, size and K
-    c = config(k=k, n=1)
-    block = block_uniforms(c, rng_stream(5, 2), size)
-    chunk = map(mcsim._to_uniforms, mcsim._draw_words(c, rng_stream(5, 2), size, start, stop))
-    for whole, part in zip(block, chunk):
-        assert np.array_equal(whole[start:stop], part)
-
-
-# (trials, batch): trials below, at and above one chunk, in one or more
-# blocks, most of them multiples of neither 4 nor the chunk size; blocks of
-# one trial cost a stream each, so they run on two of the (K, N) pairs only
+# (trials, block size `_CHUNK`): one block, or several with a partial last
+# one, of sizes that are mostly multiples of neither 4 nor 65,536, so the
+# link words of a block start at any offset within a Philox counter step;
+# blocks of one trial cost a stream each, so they run on two of the (K, N)
+# pairs only
 ORDERS = [(1, 1), (3, 1), (3, 3), (10, 4), (7, 6), (16, 1), (16, 16)]
 CHUNK_CASES = ([(1_001, 1, 3, 1), (1_001, 1, 16, 16)]
-               + [(trials, batch, k, n)
-                  for trials, batch in [(23_333, 4_999), (1_003, 1_000_000),
+               + [(trials, chunk, k, n)
+                  for trials, chunk in [(23_333, 4_999), (1_003, 1_000_000),
                                         (65_536, 1_000_000), (140_003, 1_000_000)]
                   for k, n in ORDERS])
 
@@ -402,14 +390,15 @@ def unequal_hops(k, n):
                         rs_model=AlphaMuParams(*VERY_WEAK, 3.0), gamma_th=1.0)
 
 
-@pytest.mark.parametrize("trials,batch,k,n", CHUNK_CASES)
-def test_chunked_estimates_equal_whole_block_oracle(trials, batch, k, n):
+@pytest.mark.parametrize("trials,chunk,k,n", CHUNK_CASES)
+def test_chunked_estimates_equal_whole_block_oracle(trials, chunk, k, n, monkeypatch):
+    monkeypatch.setattr(mcsim, "_CHUNK", chunk)
     c = unequal_hops(k, n)
-    m = McConfig(trials=trials, seed=17, batch=batch)
+    m = McConfig(trials=trials, seed=17)
     outage = simulate_outage_blocks(c, m)
     asep = simulate_asep_blocks(c, m)
     for workers in (1, 2, 4):
-        mw = McConfig(trials=trials, seed=17, workers=workers, batch=batch)
+        mw = McConfig(trials=trials, seed=17, workers=workers)
         est = simulate_outage(c, mw)
         assert (est.value, est.std_error) == outage
         est = simulate_asep(c, mw)
@@ -417,7 +406,7 @@ def test_chunked_estimates_equal_whole_block_oracle(trials, batch, k, n):
 
 
 def test_chunked_estimates_equal_oracle_over_full_blocks():
-    # a full 1e6 block, whose last chunk is partial, then a block of 3
+    # at the real block size: 15 full blocks and a partial one of 16,963
     c = unequal_hops(3, 3)
     m = McConfig(trials=1_000_003, seed=23, workers=4)
     est = simulate_outage(c, m)
@@ -427,12 +416,13 @@ def test_chunked_estimates_equal_oracle_over_full_blocks():
 
 
 # (outage hits, ASEP mean, ASEP standard error) of 150,003 trials at seed 41
-# in blocks of 100,000 on 2 workers: the hits as the Generator.random streams
-# give them, the ASEP with hops drawn from each chunk's Gamma generator
+# on 2 workers, in blocks of 65,536, 65,536 and 18,931 trials: the hits as
+# the Generator.random streams give them, the ASEP with the hops drawn from
+# each block's generator after its uplink and downlink words
 PINNED_STREAMS = [
-    ("nakagami_K3", 19_051, 0.032296655071735555, 0.0001692175911136683),
-    ("nakagami_K10", 18_767, 0.03171230266557254, 0.00016797730711902006),
-    ("unequal_hops_K4_N2", 83_906, 0.13965403421714748, 0.0003237673555144845),
+    ("nakagami_K3", 19_023, 0.0321669915324045, 0.00016807136744003372),
+    ("nakagami_K10", 19_002, 0.03204097726006373, 0.00016901440431368127),
+    ("unequal_hops_K4_N2", 84_205, 0.13993840507266173, 0.00032452265524922786),
 ]
 
 
@@ -443,13 +433,14 @@ def nakagami(k):
                         rs_model=AlphaMuParams(2.0, 2.0, 10.0), gamma_th=1.0)
 
 
-@pytest.mark.parametrize("name,hits,mean,std_error", PINNED_STREAMS)
+@pytest.mark.parametrize("name,hits,mean,std_error", PINNED_STREAMS,
+                         ids=[row[0] for row in PINNED_STREAMS])
 def test_pinned_streams(name, hits, mean, std_error):
     # a change to the streams or to how the kernels read them fails here, and
     # must name the new figures
     c = {"nakagami_K3": nakagami(3), "nakagami_K10": nakagami(10),
          "unequal_hops_K4_N2": unequal_hops(4, 2)}[name]
-    m = McConfig(trials=150_003, seed=41, workers=2, batch=100_000)
+    m = McConfig(trials=150_003, seed=41, workers=2)
     assert simulate_outage(c, m).value == hits / m.trials
     est = simulate_asep(c, m)
     assert est.value == pytest.approx(mean, rel=1e-13, abs=0.0)
@@ -471,9 +462,9 @@ def asep_sweep(c, m):
 @pytest.mark.parametrize("simulate", [simulate_outage, simulate_asep, outage_sweep,
                                       asep_sweep])
 def test_block_working_set_stays_small(simulate):
-    # one K = 10 block of 1e6 trials on one worker, at one point or for a
-    # 16-point sweep: the working set is one chunk's, since each chunk
-    # returns its partial sums and no buffer spans the block
+    # a K = 10 run of 1e6 trials on one worker, at one point or for a
+    # 16-point sweep: the working set is one block's, since each block
+    # returns its partial sums and no buffer spans the run
     c = config(k=10, n=1, alpha=2.0, mu=2.0, snr=10.0)
     simulate(c, McConfig(trials=1_000))  # first calls outside the measurement
     tracemalloc.start()
@@ -500,8 +491,6 @@ def test_mc_config_validation():
         McConfig(trials=999)
     with pytest.raises(ValueError):
         McConfig(trials=1000, workers=0)
-    with pytest.raises(ValueError):
-        McConfig(trials=1000, batch=0)
 
 
 def test_estimate_metadata():

@@ -24,11 +24,11 @@ FITTED = {
 
 # (eta, beta): (ks_distance, fourth_moment_rel_error) of 200,000 draws, seed 20240915
 FIT_DIAGNOSTICS = {
-    (21.5, 19.8): (0.0016542917889467712, 4.5648408120158024e-07),
-    (9.7, 8.2): (0.0012354423573283646, 1.3748964483029091e-05),
+    (21.5, 19.8): (0.0016542917889467712, 4.5648409896514863e-07),
+    (9.7, 8.2): (0.0012354423573283646, 1.3748964479698422e-05),
     (8.65, 7.14): (0.001668968027949691, 2.3454468513373072e-05),
-    (4.0, 1.84): (0.0016039186373721093, 0.0021019000826724143),
-    (4.34, 1.3): (0.004590410567064537, 0.005222758609132683),
+    (4.0, 1.84): (0.0016039186373721093, 0.0021019000826741907),
+    (4.34, 1.3): (0.004590410567064537, 0.005222758609137124),
 }
 
 # (K, N, S->R (alpha, mu), R->S (alpha, mu), mean SNR, gamma_th):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import relaylink
-from relaylink import cli, mcsim
+from relaylink import cli, mcsim, scenario
 from relaylink.analysis import PerfEstimate, total_outage
 from relaylink.errors import QuadratureFailureError
 from relaylink.mcsim import DEFAULT_SEED
@@ -55,7 +56,6 @@ b = 1
 trials = 50000
 seed = 42
 workers = 2
-batch = 10000
 """
 
 
@@ -70,7 +70,7 @@ def test_parse_scenario_values():
     assert c.scheduling.downlink_mean_snr == pytest.approx(10.0)
     assert c.sr_model.alpha == 2.0 and c.sr_model.mu == 2.0
     assert sc.mc.trials == 50_000 and sc.mc.seed == 42
-    assert sc.mc.workers == 2 and sc.mc.batch == 10_000
+    assert sc.mc.workers == 2
 
 
 def test_db_conversions():
@@ -133,6 +133,10 @@ def test_invalid_values_reported():
                  id="sr_link-mu"),
     pytest.param("[rs_link]\nalpha = 2\nmu = 2", "[rs_link]\nalpha = 2\nmu = inf", "rs_link",
                  id="rs_link-mu"),
+    pytest.param("[sr_link]\nalpha = 2\nmu = 2", "[sr_link]\nalpha = 2\nmu = 2.6e305",
+                 "sr_link", id="sr_link-mu-above-1e300"),
+    pytest.param("[rs_link]\nalpha = 2\nmu = 2", "[rs_link]\nalpha = 2\nmu = 1.7e308",
+                 "rs_link", id="rs_link-mu-above-1e300"),
     pytest.param("n_order = 2", "n_order = 9", "scheduling", id="scheduling-n_order"),
     pytest.param("gamma_th_db = 0", "gamma_th_db = 5000", "scheduling",
                  id="scheduling-gamma_th_db"),
@@ -150,6 +154,24 @@ def test_invalid_values_name_their_section(old, new, section, tmp_path, capsys):
     bad.write_text(text, encoding="utf-8")
     assert cli.main(["outage", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"relaylink outage: error: [{section}] ")
+
+
+def test_mc_batch_key_rejected(tmp_path, capsys):
+    # blocks have one fixed size, so [mc] takes no batch
+    bad = tmp_path / "bad.ini"
+    bad.write_text(GOOD + "batch = 10\n", encoding="utf-8")
+    assert cli.main(["outage", str(bad)]) == 1
+    assert "unknown key 'batch' in section [mc]" in capsys.readouterr().err
+
+
+def test_readme_key_table_lists_the_schema():
+    # the README's table of scenario keys names exactly the keys the parser takes
+    table = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        row = re.fullmatch(r"\| `\[(\w+)\]` +\|(.*)\|", line)
+        if row:
+            table[row[1]] = set(re.findall(r"`(\w+)`", row[2]))
+    assert table == scenario._SCHEMA
 
 
 # ------------------------------------------------------------------ CLI

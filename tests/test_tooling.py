@@ -1,9 +1,11 @@
 """Checks on the shape of the library source, by static analysis."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import relaylink
+from relaylink import mcsim
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "relaylink"
 
@@ -56,8 +58,8 @@ def test_cli_reaches_the_core_only_through_sweep():
 
 
 def test_one_thread_fan_out_and_no_reduce_callback():
-    # one reduction path: mcsim._map_blocks alone hands chunks to threads and
-    # returns their results in chunk order; no library function takes a
+    # one reduction path: mcsim._map_blocks alone hands blocks to threads and
+    # returns their results in block order; no library function takes a
     # reduce callback to fold them some other way
     pools, reducers = [], []
     for path in sorted(SRC.glob("*.py")):
@@ -99,3 +101,20 @@ def test_mc_hops_drawn_not_inverted():
               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
               and {"lru_cache", "cache"} & set().union(*map(_names_used, func.decorator_list))]
     assert cached == []
+
+
+def test_one_stream_per_block():
+    # each block reads one stream from its start: mcsim builds a bit
+    # generator only in rng_stream, never moves one to an offset or a
+    # counter, and McConfig has no field that splits the streams further
+    tree = ast.parse((SRC / "mcsim.py").read_text(encoding="utf-8"))
+    bit_generators = {"Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64", "default_rng"}
+    assert [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and bit_generators & _names_used(node)] == ["rng_stream"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [node.lineno for node in calls
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "advance"] == []
+    assert [node.lineno for node in calls
+            if any(kw.arg == "counter" for kw in node.keywords)] == []
+    assert [f.name for f in dataclasses.fields(mcsim.McConfig)] == ["trials", "seed", "workers"]
