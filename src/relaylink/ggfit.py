@@ -68,7 +68,8 @@ def _log_ratio_residual(x, log_r):
 def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
     """Fit (alpha, mu, rho_bar) so the first three alpha-mu moments match the
     Gamma-Gamma moments of p. Raises NonConvergenceError (with the best
-    iterate attached) if the residual stays above TOL."""
+    iterate attached) if the residual stays above TOL or is nan, or alpha,
+    mu or rho_bar is not finite."""
     log_r = np.log([gamma_gamma_moment(p, n) for n in (2, 3)])  # r_n = E[I^n], as E[I] = 1
     iters = 0
     with np.errstate(all="ignore"):  # an infeasible trial point gives inf or nan, rejected
@@ -101,23 +102,19 @@ def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
         residual_norm = _full_residual(p, alpha, mu, rho_bar)
     except (ArithmeticError, ValueError):  # the moments leave the float range
         rho_bar, residual_norm = math.nan, math.inf
-    converged = residual_norm <= TOL
+    converged = residual_norm <= TOL and all(map(math.isfinite, (alpha, mu, rho_bar)))
     result = FitResult(alpha, mu, rho_bar, residual_norm, iters, converged)
     if not converged:
         raise NonConvergenceError(
             f"fit_alpha_mu(eta={p.eta}, beta={p.beta}): residual {residual_norm:.3e} "
-            f"> tol {TOL:.1e}", best=result)
+            f"at alpha {alpha:.6g}, mu {mu:.6g}, not within tol {TOL:.1e}", best=result)
     return result
 
 
 def _full_residual(p, alpha, mu, rho_bar):
-    # max relative residual of the three raw moment equations
-    worst = 0.0
-    for n in (1, 2, 3):
-        lhs = rho_bar ** -n * _am_core(alpha, mu, n)
-        rhs = gamma_gamma_moment(p, n)
-        worst = max(worst, abs(lhs / rhs - 1.0))
-    return worst
+    # max relative residual of the three raw moment equations; nan if any is nan
+    return float(np.max([abs(rho_bar ** -n * _am_core(alpha, mu, n) / gamma_gamma_moment(p, n)
+                             - 1.0) for n in (1, 2, 3)]))
 
 
 def fit_diagnostics(fit: FitResult, p: GammaGammaParams, draws: int,

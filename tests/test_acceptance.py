@@ -58,8 +58,8 @@ OUTAGE_CONFIGS = [
     ("nakagami K3 N3", config(3, 3, 2.0, 2.0)),
     ("exponential K3 N1", config(3, 1, 1.0, 1.0)),
     ("rayleigh K3 N1", config(3, 1, 2.0, 1.0)),
-    ("very weak K3 N1", config(3, 1, 2.7312, 2.21)),
-    ("severe K3 N3", config(3, 3, 0.579, 2.022)),
+    ("alpha-mu (2.7312, 2.21) K3 N1", config(3, 1, 2.7312, 2.21)),
+    ("alpha-mu (0.579, 2.022) K3 N3", config(3, 3, 0.579, 2.022)),
 ]
 
 
@@ -161,13 +161,15 @@ def test_criterion_1_published_fit_table():
 # Each config's points share one pass of the sweep engine, which must give
 # every point the estimate of its own run.
 CRITERION_2_HITS = {
-    "nakagami K3 N1": [4626760, 1271543, 348122, 102956, 31955, 9841, 3012, 932],
-    "nakagami K3 N3": [7877864, 3527980, 1220831, 394854, 126289, 39806, 12482, 3936],
-    "exponential K3 N1": [7679650, 5195893, 3208659, 1891735, 1090536, 621006, 351104,
-                          198412],
-    "rayleigh K3 N1": [6204826, 2595647, 903894, 294700, 94186, 29811, 9279, 2885],
-    "very weak K3 N1": [3600320, 996751, 312367, 99160, 31576, 9809, 3011, 931],
-    "severe K3 N3": [9044048, 6447637, 3873365, 2160509, 1169821, 622881, 327600, 171515],
+    "nakagami K3 N1": [4627667, 1273370, 348473, 103373, 31740, 10022, 3187, 1063],
+    "nakagami K3 N3": [7878322, 3530794, 1222578, 396534, 126303, 40171, 12787, 4010],
+    "exponential K3 N1": [7679897, 5197847, 3212753, 1895922, 1092714, 623169, 352988,
+                          199848],
+    "rayleigh K3 N1": [6205302, 2599389, 905932, 296355, 94642, 29941, 9486, 3049],
+    "alpha-mu (2.7312, 2.21) K3 N1": [3601340, 997082, 312402, 99502, 31392, 9987, 3180,
+                                      1063],
+    "alpha-mu (0.579, 2.022) K3 N3": [9044152, 6450033, 3877959, 2166277, 1172318, 625169,
+                                      329766, 172655],
 }
 
 
@@ -229,7 +231,8 @@ def test_criterion_4_asep_cross_validation():
         # alpha-mu points near the published very-weak and weak (b) rows
         # (not moment fits, see criterion 1), K from 1 to 5
         + [(f"{nm} K{k}", config(k, 1, al, mu)) for nm, al, mu in
-           [("very weak", 2.73, 2.21), ("weak", 2.00, 1.37)] for k in (1, 5)]
+           [("alpha-mu (2.73, 2.21)", 2.73, 2.21), ("alpha-mu (2.00, 1.37)", 2.00, 1.37)]
+           for k in (1, 5)]
     )
     failures = []
     for name, base in cases:
@@ -318,7 +321,7 @@ def test_criterion_6_figure_level_checks():
         failures.append(f"severe N-sweep loss {sev_loss:.2f} dB not in 2 +/- 1")
 
     # K-sweep saturation: extra nodes beyond K=5 buy < 0.2 dB
-    for name, al, mu in [("very weak", 2.73, 2.21), ("nakagami", 2.0, 2.0)]:
+    for name, al, mu in [("alpha-mu (2.73, 2.21)", 2.73, 2.21), ("nakagami", 2.0, 2.0)]:
         gain = (_snr_db_at_outage(config(5, 1, al, mu), 1e-3)
                 - _snr_db_at_outage(config(10, 1, al, mu), 1e-3))
         if not -0.01 <= gain < 0.2:

@@ -63,13 +63,15 @@ def test_fit_converges_with_both_parameters_large():
 @pytest.mark.parametrize("eta,beta", itertools.product([1e-300, 1e-20, 1e12, 1e300],
                                                        repeat=2))
 def test_fit_extreme_pairs_fail_only_by_nonconvergence(eta, beta):
-    # moments that leave the float range surface as NonConvergenceError
+    # moments that leave the float range, or a start whose mu overflows,
+    # surface as NonConvergenceError, never as a converged non-finite fit
     try:
         fit = fit_alpha_mu(GammaGammaParams(eta, beta))
     except NonConvergenceError as err:
         assert err.best.converged is False
     else:
         assert fit.converged
+        assert all(map(math.isfinite, (fit.alpha, fit.mu, fit.rho_bar)))
 
 
 @pytest.mark.parametrize("eta,beta", TURBULENCE_PAIRS)

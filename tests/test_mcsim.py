@@ -75,10 +75,9 @@ def test_word_limit_is_exact(f):
 @given(n=st.one_of(st.integers(0, 70), st.sampled_from([4_095, 65_537])),
        skip=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
 def test_words_convert_in_place_to_generator_uniforms(n, skip, seed):
-    # the words after `skip` discarded ones, so the first is at any offset
-    # within a counter step, and n of them, a multiple of 4 or not
-    expect = np.random.Generator(np.random.Philox(seed)).random(skip + 3 * n)[skip:]
-    words = np.random.Philox(seed).random_raw(skip + 3 * n)[skip:]
+    # the words of a block's stream after `skip` discarded ones, and n of them
+    expect = rng_stream(seed, 0).random(skip + 3 * n)[skip:]
+    words = rng_stream(seed, 0).bit_generator.random_raw(skip + 3 * n)[skip:]
     u = mcsim._to_uniforms(words[:n])
     assert np.array_equal(u, expect[:n])
     assert n == 0 or np.shares_memory(u, words)
@@ -88,7 +87,7 @@ def test_words_convert_in_place_to_generator_uniforms(n, skip, seed):
 
 
 def test_word_conversion_needs_no_temporary():
-    words = np.random.Philox(3).random_raw(1_000_003)
+    words = rng_stream(3, 0).bit_generator.random_raw(1_000_003)
     tracemalloc.start()
     try:
         mcsim._to_uniforms(words)
@@ -372,10 +371,9 @@ def test_asep_matches_quadrature_at_small_alpha_mu():
 # ------------------------------------------------------------ blocks
 
 # (trials, block size `_CHUNK`): one block, or several with a partial last
-# one, of sizes that are mostly multiples of neither 4 nor 65,536, so the
-# link words of a block start at any offset within a Philox counter step;
-# blocks of one trial cost a stream each, so they run on two of the (K, N)
-# pairs only
+# one, of sizes that are mostly multiples of neither 4 nor 65,536; blocks
+# of one trial cost a stream each, so they run on two of the (K, N) pairs
+# only
 ORDERS = [(1, 1), (3, 1), (3, 3), (10, 4), (7, 6), (16, 1), (16, 16)]
 CHUNK_CASES = ([(1_001, 1, 3, 1), (1_001, 1, 16, 16)]
                + [(trials, chunk, k, n)
@@ -417,12 +415,12 @@ def test_chunked_estimates_equal_oracle_over_full_blocks():
 
 # (outage hits, ASEP mean, ASEP standard error) of 150,003 trials at seed 41
 # on 2 workers, in blocks of 65,536, 65,536 and 18,931 trials: the hits as
-# the Generator.random streams give them, the ASEP with the hops drawn from
+# each block's SFC64 stream gives them, the ASEP with the hops drawn from
 # each block's generator after its uplink and downlink words
 PINNED_STREAMS = [
-    ("nakagami_K3", 19_023, 0.0321669915324045, 0.00016807136744003372),
-    ("nakagami_K10", 19_002, 0.03204097726006373, 0.00016901440431368127),
-    ("unequal_hops_K4_N2", 84_205, 0.13993840507266173, 0.00032452265524922786),
+    ("nakagami_K3", 19_069, 0.03215635672208372, 0.00016872219046714775),
+    ("nakagami_K10", 18_876, 0.03185642697320209, 0.0001686920534663157),
+    ("unequal_hops_K4_N2", 84_155, 0.14009762605755088, 0.00032466399153695285),
 ]
 
 

@@ -211,6 +211,13 @@ def test_cli_fit_turbulence_rows_pass_ks(eta, beta, capsys):
     assert "KS dist" in captured.out and captured.err == ""
 
 
+def test_cli_fit_overflowing_start_exits_2(capsys):
+    # very weak turbulence far past the float range of the start's mu
+    assert cli.main(["fit", "--eta", "1e20", "--beta", "1e20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-convergence" in captured.err
+
+
 def test_cli_fit_bad_args(capsys):
     assert cli.main(["fit", "--eta", "0", "--beta", "1"]) == 1
     assert cli.main(["fit", "--eta", "inf", "--beta", "2"]) == 1
