@@ -4,8 +4,9 @@ The optical hops are modeled by Gamma-Gamma irradiance with large- and
 small-scale parameters (eta, beta). Matching the first three moments yields
 an alpha-mu envelope model that the closed-form outage/ASEP machinery can
 consume. This demo fits the five standard turbulence conditions and reports
-the fit quality (residual of the moment system, Kolmogorov-Smirnov distance
-against fresh Gamma-Gamma samples, relative error of the fourth moment the
+the fit quality (the largest relative residual of log r2 and log r3 - 3 log r2,
+r_n = E[X^n]/E[X]^n, which the fit solves; the Kolmogorov-Smirnov distance
+against fresh Gamma-Gamma samples; the relative error of the fourth moment the
 fit never saw).
 """
 

@@ -214,13 +214,13 @@ def _outage_terms(c: SystemConfig):
 
 
 def _power_term(order, coef, log_coef, lam):
-    """coef * lam^order, or exp(log_coef + order log lam) where that
-    product overflows (inf where this does too)."""
+    """coef * lam^order; where that overflows, exp(log_coef + order log lam)
+    (inf where this does too), and 0 at lam = 0: every order is positive."""
     try:
         value = coef * lam ** order
     except OverflowError:
         value = math.inf
-    return (value if math.isfinite(value)
+    return (value if math.isfinite(value) else 0.0 if not lam
             else _finite_or_inf(math.exp, log_coef + order * math.log(lam)))
 
 
@@ -244,7 +244,8 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
     T2 is the optical term: its order is the smaller alpha*mu/2 of the two
     hops, and its gain is derived from the asymptotic expression itself, from
     the hop or hops of that order, so that (Gc * SNR)^{-Gd} reproduces their
-    summed term exactly; from its log where a coefficient is inf.
+    summed term exactly; from its log where a coefficient is inf. A gain
+    beyond the float range is inf, and one below it 0.
     """
     _require_equal_snrs(c)
     t1, *hops, t3 = _outage_terms(c)
@@ -255,11 +256,10 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
     orders = {t: float(order) for t, (order, _, _) in terms.items()}
     diversity = min(orders.values())
     dominant = frozenset(t for t, d in orders.items() if _ties(d, diversity))
-    gains = {t: (coef ** (-1.0 / order) if math.isfinite(coef)
-                 else math.exp(-log_coef / order)) / c.gamma_th
+    gains = {t: (_finite_or_inf(functools.partial(pow, coef), -1.0 / order)
+                 if math.isfinite(coef) else math.exp(-log_coef / order)) / c.gamma_th
              for t, (order, coef, log_coef) in terms.items()}
-    return AsymptoticReport(diversity_order=diversity,
-                            coding_gain_terms=gains, dominant=dominant)
+    return AsymptoticReport(diversity, gains, dominant)
 
 
 @dataclass(frozen=True)
@@ -282,13 +282,13 @@ def _checked(metric: str) -> str:
 
 def evaluate(c: SystemConfig, value, metric: str = "outage") -> SweepRow:
     """The analytic curve row of c at the swept value: metric "outage" gives
-    the exact outage and its asymptote (None for unequal SNR scales, or a
-    hop mu above about 2.5e305), "asep" the ASEP by quadrature."""
+    the exact outage and its asymptote (None for unequal SNR scales), "asep"
+    the ASEP by quadrature."""
     if _checked(metric) == "outage":
         exact = total_outage(c)
         try:
             asym = asymptotic_outage(c)
-        except (ValueError, OverflowError):
+        except ValueError:
             asym = None
     else:
         exact, asym = asep(c), None

@@ -1,11 +1,13 @@
 """Moment-based approximation of the Gamma-Gamma turbulence law by the
 alpha-mu distribution.
 
-The first three moments of both laws are equated. The envelope scale rho_bar
-is eliminated through the first-moment equation, leaving two scale-free
-moment-ratio equations. They are solved in (log alpha, log mu), on the log
-ratios, by Newton's method with the exact digamma Jacobian and a halving line
-search, started at the alpha = 1 law with the same second-moment ratio.
+The first three moments of both laws are equated. With rho_bar fixed by the
+first, two scale-free equations remain, on D = (log r2, S), r_n = E[X^n]/E[X]^n
+and S = log r3 - 3 log r2 (Nicolas's second-kind statistics, Traitement du
+Signal 19(3), 2002), each side evaluated without cancellation. One relative
+residual drives Newton's method in (log alpha, log mu), with its exact Jacobian
+and a halving line search from the alpha = 1 law with the same r2, and decides
+convergence.
 """
 
 from __future__ import annotations
@@ -14,19 +16,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import poch, psi
+from scipy.special import poch, psi, zeta
 
-from .channels import (
-    AlphaMuParams,
-    GammaGammaParams,
-    alpha_mu_snr_cdf,
-    gamma_gamma_moment,
-    gamma_gamma_sample,
-)
+from .channels import (AlphaMuParams, GammaGammaParams, alpha_mu_snr_cdf, gamma_gamma_moment,
+                       gamma_gamma_sample)
 from .errors import NonConvergenceError
 
-TOL = 1e-8  # on the largest relative residual of the three moment equations
+TOL = 1e-8  # on the largest relative residual of D, max |D / target - 1|
 MAX_ITER = 200
+_W = np.array([[-2.0, 1.0, 0.0], [3.0, -3.0, 1.0]])  # D = _W (L(h), L(2h), L(3h))
+_J = np.arange(2.0, 40.0)
+_C = _W @ np.arange(1.0, 4.0)[:, None] ** _J * (-1.0) ** _J / _J  # c_j (j-1)! (-1)^j
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,23 @@ def _am_core(alpha, mu, n):
     return math.exp(math.log(poch(mu, n / alpha)) - (n / alpha) * math.log(mu))
 
 
-def _log_ratio_residual(x, log_r):
-    """F_n = log(E[X^n] / E[X]^n) - log r_n for n = 2, 3 and its Jacobian,
-    both in x = (log alpha, log mu)."""
-    a, m = np.exp(x)
-    k = np.array([1.0, 2.0, 3.0]) / a
-    lp, dg, dg_m = np.log(poch(m, k)), psi(m + k), psi(m)  # lp = lgamma(m + k) - lgamma(m)
-    n = np.array([2.0, 3.0])
-    f = lp[1:] - n * lp[0] - log_r
-    jac = np.column_stack([n / a * (dg[0] - dg[1:]),
-                           m * (dg[1:] + (n - 1.0) * dg_m - n * dg[0])])
-    return f, jac
+def _residual(x, target):
+    """f = D / target - 1 and its Jacobian in x = (log alpha, log mu). With
+    h = 1/alpha and L(t) = lgamma(mu + t) - lgamma(mu), D = _W (L(h), L(2h), L(3h)).
+    Where 12 h <= mu, D is the Taylor series of L about mu, the sum over j >= 2
+    of c_j psi^(j-1)(mu) h^j = _C_j zeta(j, mu) h^j, which cancels nothing;
+    below that, D comes from poch, where the differences cancel little."""
+    h, m = np.exp(x * [-1.0, 1.0])  # h = 1/alpha
+    if 12.0 * h <= m:
+        ch, z = _C * h ** _J, zeta(_J, m)
+        # m zeta(j+1, m) >= (j-1)/j zeta(j, m), equal as m -> inf, where zeta(j+1, m) underflows
+        mz = np.maximum(m * zeta(_J + 1.0, m), z * (_J - 1.0) / _J)
+        d, jac = ch @ z, np.column_stack([-(ch * _J) @ z, -(ch * _J) @ mz])
+    else:
+        k = np.array([1.0, 2.0, 3.0]) * h
+        dg, d = psi(m + k), _W @ np.log(poch(m, k))
+        jac = np.column_stack([-_W @ (k * dg), m * _W @ (dg - psi(m))])
+    return d / target - 1.0, jac / target[:, None]
 
 
 def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
@@ -70,14 +76,19 @@ def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
     Gamma-Gamma moments of p. Raises NonConvergenceError (with the best
     iterate attached) if the residual stays above TOL or is nan, or alpha,
     mu or rho_bar is not finite."""
-    log_r = np.log([gamma_gamma_moment(p, n) for n in (2, 3)])  # r_n = E[I^n], as E[I] = 1
     iters = 0
     with np.errstate(all="ignore"):  # an infeasible trial point gives inf or nan, rejected
+        # D of the unit-mean Gamma-Gamma law: log r2 = log((1 + 1/eta)(1 + 1/beta)) and
+        # S = sum of log(1 - u^2), u = 1/(eta + 1) and 1/(beta + 1), with 1 - u = eta u
+        v = np.array([p.eta, p.beta])
+        u = 1.0 / (v + 1.0)
+        s = np.where(v < 1.0, np.log(v * u * (1.0 + u)), np.log1p(-u * u))
+        target = np.array([np.sum(np.log1p(1.0 / v)), np.sum(s)])
         # start at the alpha = 1 law with the same second-moment ratio 1 + 1/mu
-        x = np.log([1.0, 1.0 / np.expm1(log_r[0])])
-        f, jac = _log_ratio_residual(x, log_r)
-        # Newton down to the rounding floor, not just to TOL: the equations are
-        # ill-conditioned in weak turbulence, where |F| = 1e-11 leaves mu 1e-8 off.
+        x = np.log([1.0, 1.0 / np.expm1(target[0])])
+        f, jac = _residual(x, target)
+        # Newton down to the rounding floor, not just to TOL: f's Jacobian has a
+        # condition number near 18, so |f| = 1e-8 can leave alpha or mu 2e-7 off.
         # Within TOL only full steps are taken, so the floor ends it at once.
         while iters < MAX_ITER and np.any(f):
             try:
@@ -87,7 +98,7 @@ def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
             step = 1.0
             for _ in range(60 if np.max(np.abs(f)) > TOL else 1):  # halve until the norm drops
                 xn = x + step * dx
-                fn, jn = _log_ratio_residual(xn, log_r)
+                fn, jn = _residual(xn, target)
                 if np.all(np.isfinite(fn)) and np.linalg.norm(fn) < np.linalg.norm(f):
                     break
                 step *= 0.5
@@ -96,12 +107,12 @@ def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
             x, f, jac = xn, fn, jn
             iters += 1
         alpha, mu = (float(v) for v in np.exp(x))
+        residual_norm = float(np.max(np.abs(f)))  # nan if either is nan
 
     try:
-        rho_bar = _am_core(alpha, mu, 1) / gamma_gamma_moment(p, 1)  # E[X] = core(1) / rho_bar
-        residual_norm = _full_residual(p, alpha, mu, rho_bar)
-    except (ArithmeticError, ValueError):  # the moments leave the float range
-        rho_bar, residual_norm = math.nan, math.inf
+        rho_bar = _am_core(alpha, mu, 1)  # E[X] = core(1) / rho_bar = E[I] = 1
+    except (ArithmeticError, ValueError):  # the moment leaves the float range
+        rho_bar = math.nan
     converged = residual_norm <= TOL and all(map(math.isfinite, (alpha, mu, rho_bar)))
     result = FitResult(alpha, mu, rho_bar, residual_norm, iters, converged)
     if not converged:
@@ -109,12 +120,6 @@ def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
             f"fit_alpha_mu(eta={p.eta}, beta={p.beta}): residual {residual_norm:.3e} "
             f"at alpha {alpha:.6g}, mu {mu:.6g}, not within tol {TOL:.1e}", best=result)
     return result
-
-
-def _full_residual(p, alpha, mu, rho_bar):
-    # max relative residual of the three raw moment equations; nan if any is nan
-    return float(np.max([abs(rho_bar ** -n * _am_core(alpha, mu, n) / gamma_gamma_moment(p, n)
-                             - 1.0) for n in (1, 2, 3)]))
 
 
 def fit_diagnostics(fit: FitResult, p: GammaGammaParams, draws: int,
@@ -127,12 +132,7 @@ def fit_diagnostics(fit: FitResult, p: GammaGammaParams, draws: int,
     x = np.sort(gamma_gamma_sample(p, rng, draws))
     # the envelope CDF with scale Omega = 1/rho_bar is the SNR-form CDF with exponent 2 alpha
     cdf = alpha_mu_snr_cdf(AlphaMuParams(2.0 * fit.alpha, fit.mu, 1.0 / fit.rho_bar), x)
-    n = draws
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    ks = max(np.max(np.abs(hi - cdf)), np.max(np.abs(lo - cdf)))
+    k = np.arange(draws + 1) / draws  # the empirical CDF below and above each draw
+    ks = max(np.max(np.abs(k[1:] - cdf)), np.max(np.abs(k[:-1] - cdf)))
     m4_fit = fit.rho_bar ** -4 * _am_core(fit.alpha, fit.mu, 4)
-    m4_gg = gamma_gamma_moment(p, 4)
-    return FitDiagnostics(ks_distance=float(ks),
-                          fourth_moment_rel_error=abs(m4_fit / m4_gg - 1.0),
-                          draws=draws)
+    return FitDiagnostics(float(ks), abs(m4_fit / gamma_gamma_moment(p, 4) - 1.0), draws)

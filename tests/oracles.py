@@ -11,11 +11,14 @@ from the block's hop uniforms. The alpha-mu SNR and
 envelope densities and the envelope moments are here too: the library needs
 none of them, and the tests integrate the densities against its CDF and
 substitute the moments into its fits. The envelope CDF is the library's one
-alpha-mu CDF, called in its envelope parameters.
+alpha-mu CDF, called in its envelope parameters. The root of the moment
+system that the fit solves is found here by mpmath, at a precision that
+outlasts the cancellation of its log-gamma differences.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.special import erfc, gammaincinv, loggamma
 
@@ -218,3 +221,42 @@ def simulate_asep_blocks(c, mc):
     mean = math.fsum(s for s, _ in sums) / n
     var = max(math.fsum(q for _, q in sums) / n - mean * mean, 0.0)
     return min(max(mean, 0.0), 1.0), math.sqrt(var / n)
+
+
+def moment_fit_root(eta, beta):
+    """(alpha, mu) of the alpha-mu law whose moment ratios r_n = E[X^n]/E[X]^n
+    equal the Gamma-Gamma ones, (eta)_n (beta)_n / (eta beta)^n, for n = 2, 3:
+    the root of criterion 1's two equations, by mpmath.findroot in (log alpha,
+    log mu) on (log r2, log r3 - 3 log r2), each relative to its Gamma-Gamma
+    value, and checked to 1e-20 of it. The alpha-mu side is a sum of
+    log-gammas of size mu log mu, mu ~ 4 eta beta / (eta + beta), that cancels
+    down to r3 / r2^3 - 1 ~ 1/eta^2 + 1/beta^2, so about three digits a decade
+    of the larger parameter are lost; the precision grows to match."""
+    digits = 30 + 3 * max(0, math.ceil(math.log10(max(eta, beta))))
+    with mpmath.workdps(digits):
+        e, b = mpmath.mpf(eta), mpmath.mpf(beta)
+        gg2, gg3 = (mpmath.log(mpmath.rf(e, n) * mpmath.rf(b, n) / (e * b) ** n) for n in (2, 3))
+        target = (gg2, gg3 - 3 * gg2)
+        w = ((-2, 1, 0), (3, -3, 1))  # (log r2, log r3 - 3 log r2) from L(h), L(2h), L(3h)
+
+        def f(log_a, log_m):  # L(t) = lgamma(mu + t) - lgamma(mu), h = 1/alpha
+            h, m = mpmath.exp(-log_a), mpmath.exp(log_m)
+            lg = [mpmath.loggamma(m + k * h) - mpmath.loggamma(m) for k in (1, 2, 3)]
+            return [mpmath.fdot(row, lg) / t - 1 for row, t in zip(w, target)]
+
+        def jac(log_a, log_m):
+            h, m = mpmath.exp(-log_a), mpmath.exp(log_m)
+            dg = [mpmath.digamma(m + k * h) for k in (1, 2, 3)]
+            cols = ([-k * h * g for k, g in zip((1, 2, 3), dg)],
+                    [m * (g - mpmath.digamma(m)) for g in dg])
+            return mpmath.matrix([[mpmath.fdot(row, col) / t for col in cols]
+                                  for row, t in zip(w, target)])
+
+        # start from the large-mu law: log r2 ~ h^2 / mu, r3 / r2^3 - 1 ~ -h^3 / mu^2
+        h = target[0] ** 2 / -target[1]
+        root = mpmath.findroot(f, [-mpmath.log(h), mpmath.log(h * h / target[0])], J=jac,
+                               tol=mpmath.mpf(10) ** -40, maxsteps=50, verify=False)
+        worst = max(abs(v) for v in f(*root))
+        if worst > mpmath.mpf("1e-20"):
+            raise ArithmeticError(f"moment_fit_root({eta}, {beta}): residual {worst}")
+        return float(mpmath.exp(root[0])), float(mpmath.exp(root[1]))

@@ -6,6 +6,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import total_outage_expanded
 from scipy.special import roots_hermite
 
@@ -319,6 +321,41 @@ def test_asymptotic_keeps_mu_power_factor():
     c = config(k=3, n=1, alpha=1.0, mu=1.5, snr=1e12, gamma_th=1.0)
     ratio = asymptotic_outage(c).value / total_outage(c).value
     assert ratio == pytest.approx(1.0, abs=0.01)
+
+
+def test_asymptotic_threshold_underflowing_to_zero():
+    # gamma_th / mean_snr underflows to 0, where mu = 1000 gives the S->R hop
+    # the coefficient exp(995) = inf, and inf * 0 is nan: every order is
+    # positive, so the asymptote is 0, as it is with a finite coefficient
+    for mu in (1000.0, 2.0):
+        c = config(k=3, n=1, alpha=2.0, mu=mu, snr=1e200, gamma_th=1e-200, mu2=2.0)
+        assert asymptotic_outage(c).value == 0.0
+        assert analysis.evaluate(c, 1.0).asymptotic.value == 0.0
+
+
+def test_classify_gain_beyond_float_range_is_inf():
+    # the R->S order 5e-7 raises a coefficient below 1 to the power -2e6
+    rep = classify_asymptotics(config(alpha=2.0, mu=2.0, alpha2=0.001, mu2=0.001))
+    assert rep.diversity_order == pytest.approx(5e-7)
+    assert rep.coding_gain_terms == {"T1": 1.0, "T2": math.inf, "T3": 1.0}
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(k=st.integers(1, 2000), n_at=st.floats(0.0, 1.0),
+       hops=st.lists(st.floats(-2.0, 4.0), min_size=4, max_size=4),
+       snr_db=st.floats(-50.0, 150.0), gamma_th_db=st.floats(-50.0, 150.0))
+def test_asymptotics_stay_in_range(k, n_at, hops, snr_db, gamma_th_db):
+    # alpha and mu of both hops log-uniform in [1e-2, 1e4], K up to 2,000 and
+    # the SNR and threshold from -50 to 150 dB: neither function raises (no
+    # OverflowError), the asymptote is a probability and each gain is in
+    # [0, inf], the ends for gains beyond the float range
+    a1, m1, a2, m2 = (10.0 ** h for h in hops)
+    c = config(k=k, n=1 + round(n_at * (k - 1)), alpha=a1, mu=m1, alpha2=a2, mu2=m2,
+               snr=analysis.db_to_linear(snr_db), gamma_th=analysis.db_to_linear(gamma_th_db))
+    assert 0.0 <= asymptotic_outage(c).value <= 1.0
+    rep = classify_asymptotics(c)
+    assert rep.diversity_order > 0.0
+    assert all(0.0 <= g <= math.inf for g in rep.coding_gain_terms.values())
 
 
 def test_classify_reads_both_hops():

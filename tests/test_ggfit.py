@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import alpha_mu_moment
+from oracles import alpha_mu_moment, moment_fit_root
 
 from relaylink import ggfit
 from relaylink.channels import GammaGammaParams, gamma_gamma_moment
@@ -58,6 +58,28 @@ def test_fit_converges_with_both_parameters_large():
     # ratios must keep its relative accuracy (by poch) for a 1e-8 residual
     fit = fit_alpha_mu(GammaGammaParams(1e7, 3e6))
     assert fit.converged and fit.residual_norm <= 1e-8
+
+
+FIT_GRID = [1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 3e4, 1e5, 1e6, 1e8, 1e10, 1e12]
+
+
+def test_fit_matches_mpmath_root_over_log_grid():
+    # Both parameters large is where the log-gamma differences of the moment
+    # ratios cancel, and where alpha shows only in r3 / r2^3 - 1 ~ 1/eta^2 + 1/beta^2;
+    # 1e-8 is where log(1 - 1/(eta + 1)^2) loses its digits as log1p
+    pairs = [*itertools.product(FIT_GRID, repeat=2), (1e15, 1e15), (1e20, 1e20), (1e-8, 1.0)]
+    wrong = []
+    for eta, beta in pairs:
+        try:
+            fit = fit_alpha_mu(GammaGammaParams(eta, beta))
+        except NonConvergenceError:
+            continue
+        alpha, mu = moment_fit_root(eta, beta)
+        err = max(abs(fit.alpha / alpha - 1.0), abs(fit.mu / mu - 1.0))
+        if err > 1e-9:
+            wrong.append(f"({eta:g}, {beta:g}): fit ({fit.alpha:.12g}, {fit.mu:.12g}) vs "
+                         f"root ({alpha:.12g}, {mu:.12g}), {err:.1e} relative")
+    assert not wrong, f"{len(wrong)} of {len(pairs)} fits off the root:\n" + "\n".join(wrong)
 
 
 @pytest.mark.parametrize("eta,beta", itertools.product([1e-300, 1e-20, 1e12, 1e300],

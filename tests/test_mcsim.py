@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,8 +12,9 @@ from scipy.special import gammainc
 from scipy.stats import ks_2samp, kstest
 
 from relaylink import mcsim
-from relaylink.analysis import SystemConfig, configure, sweep, total_outage
-from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
+from relaylink.analysis import SystemConfig, asep, configure, sweep, total_outage
+from relaylink.channels import AlphaMuParams, GammaGammaParams, alpha_mu_snr_cdf
+from relaylink.ggfit import fit_alpha_mu
 from relaylink.mcsim import DEFAULT_SEED, McConfig, rng_stream, simulate_asep, simulate_outage
 from relaylink.selection import SchedulingSpec, nth_best_cdf
 
@@ -353,7 +355,6 @@ def test_hop_floor_gate_at_table_points(alpha, mu, scale):
 
 
 def test_asep_matches_quadrature():
-    from relaylink.analysis import asep
     c = config(k=2, n=1, alpha=2.0, mu=2.0, snr=10.0)
     est = simulate_asep(c, McConfig(trials=500_000, seed=9, workers=2))
     assert abs(est.value - asep(c).value) < 4.0 * est.std_error
@@ -362,10 +363,23 @@ def test_asep_matches_quadrature():
 def test_asep_matches_quadrature_at_small_alpha_mu():
     # alpha = mu = 0.3: each hop CDF grows like g^0.045 from 0, so the hop
     # draws spread over more than a hundred decades below the mean
-    from relaylink.analysis import asep
     c = config(k=2, n=1, alpha=0.3, mu=0.3, snr=10.0)
     est = simulate_asep(c, McConfig(trials=500_000, seed=9, workers=2))
     assert abs(est.value - asep(c).value) < 4.0 * est.std_error
+
+
+@pytest.mark.parametrize("hop", ["nakagami", "fitted severe (b)"])
+def test_asep_matches_quadrature_at_qpsk_weights(hop):
+    # (a, b) = (2, 1/2) scales the conditional error and its SNR, which
+    # a = b = 1 leaves unchecked; the seed was fixed before the first run
+    c = config(k=3, n=1, alpha=2.0, mu=2.0, snr=10.0)
+    if hop != "nakagami":
+        fit = fit_alpha_mu(GammaGammaParams(4.34, 1.30))
+        link = AlphaMuParams(fit.alpha, fit.mu, 10.0)
+        c = dataclasses.replace(c, sr_model=link, rs_model=link)
+    c = dataclasses.replace(c, mod_a=2.0, mod_b=0.5)
+    est = simulate_asep(c, McConfig(trials=200_000, seed=2026, workers=2))
+    assert abs(est.value - asep(c).value) < 5.0 * est.std_error
 
 
 # ------------------------------------------------------------ blocks

@@ -211,9 +211,9 @@ def test_cli_fit_turbulence_rows_pass_ks(eta, beta, capsys):
     assert "KS dist" in captured.out and captured.err == ""
 
 
-def test_cli_fit_overflowing_start_exits_2(capsys):
-    # very weak turbulence far past the float range of the start's mu
-    assert cli.main(["fit", "--eta", "1e20", "--beta", "1e20"]) == 2
+def test_cli_fit_beyond_float_moments_exits_2(capsys):
+    # very weak turbulence so far out that r3 / r2^3 - 1 ~ 2e-400 underflows
+    assert cli.main(["fit", "--eta", "1e200", "--beta", "1e200"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "non-convergence" in captured.err
 

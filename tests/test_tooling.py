@@ -39,6 +39,29 @@ def test_every_library_definition_is_used():
     assert unused == []
 
 
+def test_scipy_only_through_special():
+    # the import budget: the library needs scipy.special alone; importing
+    # scipy.optimize after relaylink.cli took 0.16-0.21 s and 22 MB more
+    # (Python 3.11, SciPy 1.17, 2 vCPUs), a cost every CLI command would pay
+    reached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "scipy"):  # SciPy loads a submodule on access
+                names = [f"scipy.{node.attr}"]
+            else:
+                continue
+            reached += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] == "scipy" and name != "scipy.special"]
+    assert reached == []
+
+
 def test_cli_reaches_the_core_only_through_sweep():
     # one sweep engine: every curve row the CLI prints comes from
     # analysis.sweep, so the CLI names no evaluator or simulator of its own
