@@ -113,12 +113,14 @@ def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
         rho_bar = _am_core(alpha, mu, 1)  # E[X] = core(1) / rho_bar = E[I] = 1
     except (ArithmeticError, ValueError):  # the moment leaves the float range
         rho_bar = math.nan
-    converged = residual_norm <= TOL and all(map(math.isfinite, (alpha, mu, rho_bar)))
-    result = FitResult(alpha, mu, rho_bar, residual_norm, iters, converged)
-    if not converged:
-        raise NonConvergenceError(
-            f"fit_alpha_mu(eta={p.eta}, beta={p.beta}): residual {residual_norm:.3e} "
-            f"at alpha {alpha:.6g}, mu {mu:.6g}, not within tol {TOL:.1e}", best=result)
+    failed = [f"{name} {v} is not finite" for name, v in
+              (("alpha", alpha), ("mu", mu), ("rho_bar", rho_bar)) if not math.isfinite(v)]
+    if not residual_norm <= TOL:  # nan included
+        failed.insert(0, f"residual {residual_norm:.3e} is not within tol {TOL:.1e}")
+    result = FitResult(alpha, mu, rho_bar, residual_norm, iters, converged=not failed)
+    if failed:
+        raise NonConvergenceError(f"fit_alpha_mu(eta={p.eta}, beta={p.beta}): {', '.join(failed)}, "
+                                  f"at alpha {alpha:.6g}, mu {mu:.6g}", best=result)
     return result
 
 

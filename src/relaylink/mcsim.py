@@ -2,10 +2,13 @@
 
 Trials run in blocks of `_CHUNK`. Block i draws from its own SFC64 stream,
 seeded from (seed, i), from its start, so no counter is needed to enter a
-stream at an offset: the uplink and downlink words, then the two hop words
-(outage) or the two hops' Gamma draws (ASEP). Worker threads take whole
-blocks; each returns its partial sums, added in block order, so results are
-bit-identical for a given (seed, trials) whatever the number of workers.
+stream at an offset: the uplink words, in tiles that are each reduced to
+their N-th largest words and freed before the next is drawn, so that a
+block's memory does not grow with K; then the downlink words, then the two
+hop words (outage) or the two hops' Gamma draws (ASEP). Worker threads take
+whole blocks; each returns its partial sums, added in block order, so
+results are bit-identical for a given (seed, trials) whatever the number of
+workers.
 """
 
 from __future__ import annotations
@@ -52,16 +55,6 @@ def _map_blocks(fn, mc: McConfig):
         return [fn(*block) for block in blocks]
     with ThreadPoolExecutor(max_workers=min(mc.workers, len(blocks))) as pool:
         return list(pool.map(fn, *zip(*blocks)))
-
-
-def _draw_words(c: SystemConfig, rng: np.random.Generator, size: int, hops=True):
-    """The raw 64-bit SFC64 words of a block of `size` trials, drawn in
-    order from its fresh stream rng: K uplink words a trial, then the
-    downlink, S->R and R->S words of all trials; without the S->R and R->S
-    words when hops is false."""
-    k, bits = c.scheduling.k_total, rng.bit_generator
-    return (bits.random_raw(size * k).reshape(size, k),
-            *(bits.random_raw(size) for _ in range(3 if hops else 1)))
 
 
 def _to_uniforms(w):
@@ -117,23 +110,35 @@ def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
     return estimates
 
 
+def _tile_rows(k):
+    """Trials per uplink tile at K users: 65,536 words (512 KiB, an L2 cache's
+    worth) up to K = 16, then 4,096, so that a block costs at most 16 tiles."""
+    return max(4_096, 65_536 // k)
+
+
 def _nth_best_words(c: SystemConfig, rng: np.random.Generator, size: int, hops=True):
-    """The N-th largest of each trial's K uplink words (`_draw_words`), a
-    column of the uplink words selected in place, and the other link words,
-    of a block of `size` trials. Every link SNR is monotone in its word, so
-    the N-th best uplink, which the relay serves, is that of the N-th
-    largest word."""
+    """The N-th largest of each trial's K uplink words, then the downlink,
+    S->R and R->S words (without the last two when hops is false) of a block
+    of `size` trials, drawn in that order from its fresh stream rng. Every
+    link SNR is monotone in its word, so the N-th best uplink, which the
+    relay serves, is that of the N-th largest word. The uplink words come
+    `_tile_rows(K)` trials at a time, as one draw of all size·K words would
+    give them, each tile selected into w_nth and freed before the next."""
     k, n = c.scheduling.k_total, c.scheduling.n_order
-    w_up, *links = _draw_words(c, rng, size, hops)
-    w_nth = w_up[:, k - n]  # the N-th largest word, (K - N)-th in ascending order
-    if n in (1, k):  # by a running maximum (N = 1) or minimum (N = K), at K = 3 in
-        pick = np.maximum if n == 1 else np.minimum  # under a tenth of the partition's time;
-        for j in range(k):  # by index, so no column view outlives the block
-            if j != k - n:
-                pick(w_nth, w_up[:, j], out=w_nth)
-    else:  # by a partition in place, since np.partition would copy the block
-        w_up.partition(k - n, axis=1)
-    return w_nth, *links
+    bits, rows, w_nth = rng.bit_generator, _tile_rows(k), np.empty(size, np.uint64)
+    for a in range(0, size, rows):
+        out = w_nth[a:a + rows]
+        w_up = bits.random_raw(out.size * k).reshape(out.size, k)
+        if n in (1, k):  # by a running maximum (N = 1) or minimum (N = K), at K = 3 in
+            pick = np.maximum if n == 1 else np.minimum  # under a tenth of the partition's time
+            np.copyto(out, w_up[:, 0])
+            for j in range(1, k):
+                pick(out, w_up[:, j], out=out)
+        else:  # by a partition in place, since np.partition would copy the tile
+            w_up.partition(k - n, axis=1)
+            np.copyto(out, w_up[:, k - n])
+        del w_up  # so that at most one tile is live
+    return w_nth, *bits.random_raw((3 if hops else 1) * size).reshape(-1, size)
 
 
 def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int):

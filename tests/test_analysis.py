@@ -268,6 +268,19 @@ def test_asymptotic_requires_equal_mean_snrs():
         classify_asymptotics(c)
 
 
+@pytest.mark.parametrize("rel,equal", [(5e-13, True), (2e-12, False)])
+def test_equal_snr_tolerance(rel, equal):
+    # scales within 1e-12 relative of the first count as equal, and no others
+    c = load_scenario(SCENARIOS / "rf_backup_baseline.ini").system
+    c = dataclasses.replace(c, sr_model=dataclasses.replace(
+        c.sr_model, mean_snr=c.sr_model.mean_snr * (1.0 + rel)))
+    if equal:
+        assert 0.0 < asymptotic_outage(c).value < 1.0
+    else:
+        with pytest.raises(ValueError, match="equal SNR scales"):
+            asymptotic_outage(c)
+
+
 def test_classify_nakagami_selection():
     rep = classify_asymptotics(config(k=3, n=1, alpha=2.0, mu=2.0, snr=10.0))
     assert rep.diversity_order == pytest.approx(1.0)

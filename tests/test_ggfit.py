@@ -181,6 +181,15 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
     assert err.value.best.converged is False
 
 
+def test_nonconvergence_names_the_failed_check():
+    # at eta = beta = 1e154 the residual is solved (alpha 1/2, mu 2e154), but
+    # rho_bar's gamma ratio overflows: the message blames rho_bar alone
+    with pytest.raises(NonConvergenceError, match="rho_bar inf is not finite") as err:
+        fit_alpha_mu(GammaGammaParams(1e154, 1e154))
+    assert err.value.best.residual_norm <= ggfit.TOL
+    assert "residual" not in str(err.value)
+
+
 @pytest.mark.parametrize("eta,beta", [(1.0, 1.0), (0.5, 0.3), (0.2, 5.0),
                                       (0.05, 2.0), (0.01, 0.01)])
 def test_fit_strong_turbulence_converges(eta, beta):

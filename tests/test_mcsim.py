@@ -83,7 +83,7 @@ def test_words_convert_in_place_to_generator_uniforms(n, skip, seed):
     u = mcsim._to_uniforms(words[:n])
     assert np.array_equal(u, expect[:n])
     assert n == 0 or np.shares_memory(u, words)
-    # a strided column of an (n, 2) block, as the N-th best uplink word is
+    # and a strided column of an (n, 2) block
     col = mcsim._to_uniforms(words[n:].reshape(n, 2)[:, 1])
     assert np.array_equal(col, expect[n:].reshape(n, 2)[:, 1])
 
@@ -321,7 +321,7 @@ GATE_PAIRS = [(alpha, mu)
 def block_hops(c, rng, size):
     """The kernel's S->R and R->S SNRs of a block of `size` trials: its hop
     draws, which follow the uplink and downlink words in its fresh stream rng."""
-    mcsim._draw_words(c, rng, size, hops=False)
+    mcsim._nth_best_words(c, rng, size, hops=False)
     return mcsim._hop_snrs(c, rng, size)
 
 
@@ -394,6 +394,19 @@ CHUNK_CASES = ([(1_001, 1, 3, 1), (1_001, 1, 16, 16)]
                   for trials, chunk in [(23_333, 4_999), (1_003, 1_000_000),
                                         (65_536, 1_000_000), (140_003, 1_000_000)]
                   for k, n in ORDERS])
+
+
+def test_chunk_cases_cross_tile_boundaries():
+    # for each selection branch, some case has a block of two or more uplink
+    # tiles with a partial last one, checked against the whole-block oracles
+    crossed = set()
+    for trials, chunk, k, n in CHUNK_CASES:
+        rows = mcsim._tile_rows(k)
+        sizes = (min(chunk, trials - a) for a in range(0, trials, chunk))
+        if any(size > rows and size % rows for size in sizes):
+            crossed.add("K = 1" if k == 1 else "N = 1" if n == 1 else "N = K" if n == k
+                        else "1 < N < K")
+    assert crossed == {"K = 1", "N = 1", "N = K", "1 < N < K"}
 
 
 def unequal_hops(k, n):
@@ -486,6 +499,22 @@ def test_block_working_set_stays_small(simulate):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("simulate", [simulate_outage, simulate_asep])
+def test_block_working_set_does_not_grow_with_k(simulate):
+    # one block at K = 256 on one worker: its 128 MiB of uplink words are
+    # drawn and selected one tile at a time, so the block holds one tile
+    # (8 MiB) and its per-trial arrays
+    c = config(k=256, n=1, alpha=2.0, mu=2.0, snr=10.0)
+    simulate(c, McConfig(trials=1_000))  # first calls outside the measurement
+    tracemalloc.start()
+    try:
+        simulate(c, McConfig(trials=mcsim._CHUNK, workers=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 # ----------------------------------------------------------- validation

@@ -108,7 +108,7 @@ def test_one_nth_best_selection_for_both_metrics():
                       if name in _names_used(node)]
         return found
 
-    assert users("_draw_words") == ["mcsim._nth_best_words"]
+    assert users("random_raw") == ["mcsim._nth_best_words"]
     assert users("_nth_best_words") == ["mcsim.simulate_outage_grid", "mcsim._end_to_end_snr"]
 
 
