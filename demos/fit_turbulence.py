@@ -6,11 +6,9 @@ an alpha-mu envelope model that the closed-form outage/ASEP machinery can
 consume. This demo fits the five standard turbulence conditions and reports
 the fit quality (the largest relative residual of log r2 and log r3 - 3 log r2,
 r_n = E[X^n]/E[X]^n, which the fit solves; the Kolmogorov-Smirnov distance
-against fresh Gamma-Gamma samples; the relative error of the fourth moment the
-fit never saw).
+to the Gamma-Gamma law, computed by quadrature; the relative error of the
+fourth moment the fit never saw).
 """
-
-import numpy as np
 
 from relaylink import GammaGammaParams, fit_alpha_mu, fit_diagnostics
 
@@ -24,16 +22,15 @@ CONDITIONS = [
 
 
 def main():
-    rng = np.random.default_rng(20240915)
     print(f"{'condition':<12} {'eta':>6} {'beta':>6} {'alpha':>8} {'mu':>8} "
-          f"{'rho_bar':>8} {'residual':>10} {'KS':>7} {'m4 err':>8}")
+          f"{'rho_bar':>8} {'residual':>10} {'KS':>9} {'m4 err':>8}")
     for name, eta, beta in CONDITIONS:
         gg = GammaGammaParams(eta=eta, beta=beta)
         fit = fit_alpha_mu(gg)
-        diag = fit_diagnostics(fit, gg, draws=200_000, rng=rng)
+        diag = fit_diagnostics(fit, gg)
         print(f"{name:<12} {eta:>6.2f} {beta:>6.2f} {fit.alpha:>8.4f} "
               f"{fit.mu:>8.4f} {fit.rho_bar:>8.4f} {fit.residual_norm:>10.2e} "
-              f"{diag.ks_distance:>7.4f} {diag.fourth_moment_rel_error:>8.1e}")
+              f"{diag.ks_distance:>9.2e} {diag.fourth_moment_rel_error:>8.1e}")
     print("\nSmaller KS / m4 error = better distributional agreement; the fit "
           "only constrains the first three moments.")
 

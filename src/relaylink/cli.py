@@ -12,11 +12,11 @@ in as few passes as the points allow. A negative START is written
 --sweep-snr=-10:0:2, since argparse reads "-10:..." as an option.
 
 Exit codes: 0 success, 1 usage or scenario error (including a --sweep-snr grid
-that is empty, non-finite, too long or has coinciding points, and a dB value
-too large for a float), 2 solver failure (non-convergence, or quadrature
-routes that disagree), 3 Monte-Carlo self-check failure. The Monte-Carlo seed
-is taken from --seed, else the RELAYLINK_SEED environment variable, else a
-fixed documented default, so published CSVs are reproducible.
+that is empty, non-finite, over SWEEP_MAX_POINTS or has coinciding points, and
+a dB value too large for a float), 2 solver failure (non-convergence, or
+quadrature routes that disagree), 3 self-check failure (Monte-Carlo, or a fit's
+KS distance over FIT_KS_LIMIT). The Monte-Carlo seed is --seed, else the
+RELAYLINK_SEED environment variable, else a fixed default; fit ignores both.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ import math
 import os
 import sys
 
-import numpy as np
 from scipy.special import bdtr, bdtrc, ndtr
 
 from . import analysis
 from .channels import GammaGammaParams
 from .errors import NonConvergenceError, QuadratureFailureError
 from .ggfit import fit_alpha_mu, fit_diagnostics
-from .mcsim import DEFAULT_SEED, McConfig
+from .mcsim import McConfig
 from .scenario import ScenarioError, linear_to_db, load_scenario
 
 EXIT_OK = 0
@@ -44,6 +43,7 @@ EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_SELFCHECK = 3
 FIT_KS_LIMIT = 0.01
+SWEEP_MAX_POINTS = 1_000_000  # checked before the --sweep-snr grid is built
 
 _SELFCHECK_TAIL = float(ndtr(-5.0))
 
@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
                        help="small-scale turbulence parameter (> 0)")
     p_fit.add_argument("--json", action="store_true", help="machine-readable output")
     p_fit.add_argument("--seed", type=int, default=None,
-                       help="seed for the sampling-based fit diagnostic")
+                       help="ignored: the KS diagnostic is computed, not sampled")
 
     for name, help_text in (("outage", "outage probability sweep"),
                             ("asep", "average symbol error probability sweep")):
@@ -139,8 +139,8 @@ def _parse_snr_sweep(spec: str):
     span = (stop - start) / step + 1e-9
     if not span >= 0:
         raise ScenarioError(f"--sweep-snr grid is empty (START > STOP): {spec!r}")
-    if not span < 2.0 ** 53:
-        raise ScenarioError(f"--sweep-snr has too many points: {spec!r}")
+    if not span < SWEEP_MAX_POINTS:  # floor(span) + 1 points
+        raise ScenarioError(f"--sweep-snr has more than {SWEEP_MAX_POINTS:,} points: {spec!r}")
     grid = [start + i * step if i else start for i in range(math.floor(span) + 1)]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ScenarioError(f"--sweep-snr points coincide: {spec!r}")
@@ -171,17 +171,15 @@ def cmd_fit(args) -> int:
     except NonConvergenceError as exc:
         print(f"relaylink fit: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    seed = _resolve_seed(args.seed)
-    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    diag = fit_diagnostics(fit, gg, draws=200_000, rng=rng)
-    if args.json:
+    diag = fit_diagnostics(fit, gg)
+    if args.json:  # strict JSON: a non-finite value raises instead of printing Infinity
         print(json.dumps({
             "eta": args.eta, "beta": args.beta,
             "alpha": fit.alpha, "mu": fit.mu, "rho_bar": fit.rho_bar,
             "residual_norm": fit.residual_norm, "iterations": fit.iterations,
-            "ks_distance": diag.ks_distance,
+            "ks_distance": diag.ks_distance, "ks_at": diag.ks_at,
             "fourth_moment_rel_error": diag.fourth_moment_rel_error,
-        }))
+        }, allow_nan=False))
     else:
         print(f"eta      = {args.eta:.6g}")
         print(f"beta     = {args.beta:.6g}")
@@ -189,7 +187,7 @@ def cmd_fit(args) -> int:
         print(f"mu       = {fit.mu:.6f}")
         print(f"rho_bar  = {fit.rho_bar:.6f}")
         print(f"residual = {fit.residual_norm:.3e}")
-        print(f"KS dist  = {diag.ks_distance:.4f}  ({diag.draws} draws)")
+        print(f"KS dist  = {diag.ks_distance:.4f}  (at x = {diag.ks_at:.6g})")
     if diag.ks_distance > FIT_KS_LIMIT:
         print(f"relaylink fit: self-check failed: KS distance {diag.ks_distance:.4g}"
               f" > {FIT_KS_LIMIT}", file=sys.stderr)

@@ -13,14 +13,18 @@ none of them, and the tests integrate the densities against its CDF and
 substitute the moments into its fits. The envelope CDF is the library's one
 alpha-mu CDF, called in its envelope parameters. The root of the moment
 system that the fit solves is found here by mpmath, at a precision that
-outlasts the cancellation of its log-gamma differences.
+outlasts the cancellation of its log-gamma differences. The Gamma-Gamma law
+has its moments and sampler here, its CDF as a Meijer G-function by mpmath and by
+QUADPACK, and the Kolmogorov-Smirnov distance of a fit by a dense quantile
+grid and golden-section search, none of it the library's code.
 """
 
 import math
 
 import mpmath
 import numpy as np
-from scipy.special import erfc, gammaincinv, loggamma
+from scipy.integrate import quad
+from scipy.special import erfc, gammainc, gammaincinv, gammaln, loggamma
 
 from relaylink import mcsim
 from relaylink.channels import AlphaMuParams, alpha_mu_snr_cdf
@@ -260,3 +264,69 @@ def moment_fit_root(eta, beta):
         if worst > mpmath.mpf("1e-20"):
             raise ArithmeticError(f"moment_fit_root({eta}, {beta}): residual {worst}")
         return float(mpmath.exp(root[0])), float(mpmath.exp(root[1]))
+
+
+def gamma_gamma_moment(p, n):
+    """n-th moment of the unit-mean Gamma-Gamma law, (eta)_n (beta)_n / (eta beta)^n,
+    as the product of (1 + k/eta)(1 + k/beta) over k < n: a few ulps at any eta, beta."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    return math.prod(((1.0 + k / p.eta) * (1.0 + k / p.beta) for k in range(1, n)), start=1.0)
+
+
+def gamma_gamma_sample(p, rng, size=None):
+    """Draw from the unit-mean Gamma-Gamma law as a product of two independent
+    Gamma variates with shapes (eta, beta) and scales (1/eta, 1/beta)."""
+    x = rng.gamma(p.eta, 1.0 / p.eta, size)
+    y = rng.gamma(p.beta, 1.0 / p.beta, size)
+    return x * y
+
+
+def gamma_gamma_cdf_meijerg(eta, beta, x):
+    """P(I <= x) of the unit-mean Gamma-Gamma law at 30 digits,
+    G^{2,1}_{1,3}(eta beta x | 1; eta, beta, 0) / (Gamma(eta) Gamma(beta))."""
+    with mpmath.workdps(30):
+        e, b = mpmath.mpf(eta), mpmath.mpf(beta)
+        g = mpmath.meijerg([[1], []], [[e, b], [0]], e * b * mpmath.mpf(x))
+        return float(g / (mpmath.gamma(e) * mpmath.gamma(b)))
+
+
+def gamma_gamma_cdf_quad(eta, beta, x):
+    """P(I <= x) = E[P(beta, eta beta x / Y)], Y ~ Gamma(eta, 1), by QUADPACK in
+    t = log Y, split at the mode of Y and at the step of the inner CDF."""
+    if x == 0.0:
+        return 0.0
+
+    def f(t):  # at the far ends e^t or e^-t is inf, and the term 0
+        return np.exp(eta * t - np.exp(t) - gammaln(eta)) * gammainc(beta, eta * beta * x
+                                                                     * np.exp(-t))
+
+    ends = [-math.inf, *sorted((math.log(eta), math.log(eta * x))), math.inf]
+    with np.errstate(over="ignore"):
+        return math.fsum(quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(ends, ends[1:]))
+
+
+def ks_distance_oracle(alpha, mu, rho_bar, eta, beta, grid=200):
+    """sup over x of |F_GG(x) - F(x)|, F the alpha-mu envelope CDF
+    P(mu, mu (rho_bar x)^alpha): QUADPACK F_GG on `grid` quantiles of F, then
+    a golden-section search around each of the two largest local maxima."""
+    def gap(q):
+        x = (gammaincinv(mu, q) / mu) ** (1.0 / alpha) / rho_bar
+        return abs(gamma_gamma_cdf_quad(eta, beta, x) - gammainc(mu, mu * (rho_bar * x) ** alpha))
+
+    q = (np.arange(grid) + 0.5) / grid
+    d = np.array([gap(v) for v in q])
+    peaks = [i for i in range(grid) if d[i] >= d[max(i - 1, 0)] and d[i] >= d[min(i + 1, grid - 1)]]
+    best = float(d.max())
+    for i in sorted(peaks, key=lambda i: -d[i])[:2]:
+        lo, hi = q[max(i - 1, 0)], q[min(i + 1, grid - 1)]
+        r = (math.sqrt(5.0) - 1.0) / 2.0
+        while hi - lo > 1e-10:
+            a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+            if gap(a) >= gap(b):
+                hi = b
+            else:
+                lo = a
+        best = max(best, gap(0.5 * (lo + hi)))
+    return best

@@ -8,6 +8,9 @@ from oracles import (
     alpha_mu_envelope_pdf,
     alpha_mu_moment,
     alpha_mu_snr_pdf,
+    gamma_gamma_cdf_meijerg,
+    gamma_gamma_moment,
+    gamma_gamma_sample,
 )
 from scipy.special import gammaincinv
 
@@ -16,9 +19,9 @@ from relaylink.channels import (
     AlphaMuParams,
     GammaGammaParams,
     alpha_mu_snr_cdf,
-    gamma_gamma_moment,
-    gamma_gamma_sample,
+    gamma_gamma_cdf,
 )
+from relaylink.ggfit import fit_alpha_mu
 from relaylink.mcsim import _snr_of_gamma
 from relaylink.selection import SchedulingSpec, downlink_cdf
 
@@ -262,19 +265,44 @@ def test_gamma_gamma_moments_match_for_n123():
 
 def test_severe_turbulence_visible_ks_gap_vs_published_fit():
     # the published alpha-mu approximation visibly mismatches severe
-    # Gamma-Gamma turbulence: KS distance of samples vs that CDF > 0.02
-    rng = np.random.default_rng(99)
-    x = np.sort(gamma_gamma_sample(GammaGammaParams(4.0, 1.84), rng, 200_000))
+    # Gamma-Gamma turbulence: the CDFs differ by more than 0.02 somewhere on a
+    # grid, so the KS distance exceeds it
     alpha, mu = 0.537, 2.022  # published approximation for this pair
-    # scale the published law to unit mean to compare against unit-mean draws
+    # scale the published law to unit mean, as the Gamma-Gamma law has
     mean_unit = math.exp(math.lgamma(mu + 1.0 / alpha)
                          - math.log(mu) / alpha - math.lgamma(mu))
-    omega = 1.0 / mean_unit
-    cdf = np.array([alpha_mu_envelope_cdf(alpha, mu, omega, float(h)) for h in x])
-    n = x.size
-    ks = max(np.max(np.arange(1, n + 1) / n - cdf),
-             np.max(cdf - np.arange(0, n) / n))
-    assert ks > 0.02
+    h = np.linspace(0.001, 8.0, 8000)
+    cdf = np.array([alpha_mu_envelope_cdf(alpha, mu, 1.0 / mean_unit, float(v)) for v in h])
+    assert np.max(np.abs(gamma_gamma_cdf(GammaGammaParams(4.0, 1.84), h) - cdf)) > 0.02
+
+
+# the five turbulence rows of acceptance criterion 1 and four pairs that
+# `relaylink fit` rejects (exit 3)
+GG_PAIRS = [(21.5, 19.8), (9.70, 8.2), (8.65, 7.14), (4.0, 1.84), (4.34, 1.30),
+            (0.01, 0.01), (0.2, 5.0), (1.0, 0.05), (0.2, 0.2)]
+
+
+@pytest.mark.parametrize("eta,beta", GG_PAIRS)
+def test_gamma_gamma_cdf_matches_meijerg(eta, beta):
+    # at the fitted law's quantiles 1e-3 ... 0.999, where the KS search looks;
+    # at (0.01, 0.01) the lower three round to x = 0, where both are 0
+    p = GammaGammaParams(eta, beta)
+    fit = fit_alpha_mu(p)
+    q = np.array([1e-3, 0.1, 0.5, 0.9, 0.999])
+    x = (gammaincinv(fit.mu, q) / fit.mu) ** (1.0 / fit.alpha) / fit.rho_bar
+    got = gamma_gamma_cdf(p, x)
+    for xv, g in zip(x, got):
+        assert abs(g - gamma_gamma_cdf_meijerg(eta, beta, xv)) <= 1e-12, xv
+        assert g == gamma_gamma_cdf(p, float(xv))  # a value in an array has its own bits
+
+
+def test_gamma_gamma_cdf_ends_and_domain():
+    p = GammaGammaParams(4.0, 1.84)
+    assert gamma_gamma_cdf(p, 0.0) == 0.0
+    assert gamma_gamma_cdf(p, math.inf) == pytest.approx(1.0, abs=1e-15)
+    assert isinstance(gamma_gamma_cdf(p, 1.0), float)
+    with pytest.raises(ValueError, match="x must be nonnegative"):
+        gamma_gamma_cdf(p, [1.0, -1e-300])
 
 
 # ------------------------------------------------------------- moments

@@ -2,14 +2,16 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import alpha_mu_moment, moment_fit_root
+from oracles import alpha_mu_moment, gamma_gamma_moment, ks_distance_oracle, moment_fit_root
 
 from relaylink import ggfit
-from relaylink.channels import GammaGammaParams, gamma_gamma_moment
+from relaylink.channels import (AlphaMuParams, GammaGammaParams, alpha_mu_snr_cdf,
+                                gamma_gamma_cdf)
 from relaylink.errors import NonConvergenceError
 from relaylink.ggfit import fit_alpha_mu, fit_diagnostics
 
@@ -126,35 +128,34 @@ def test_fit_emits_no_warnings():
 
 
 def test_fit_diagnostics_weak_turbulence_close():
-    rng = np.random.default_rng(2024)
     fit = fit_alpha_mu(GammaGammaParams(21.5, 19.8))
-    diag = fit_diagnostics(fit, GammaGammaParams(21.5, 19.8), 1_000_000, rng)
+    diag = fit_diagnostics(fit, GammaGammaParams(21.5, 19.8))
     assert diag.ks_distance < 0.02
 
     fit_a = fit_alpha_mu(GammaGammaParams(9.70, 8.2))
-    diag_a = fit_diagnostics(fit_a, GammaGammaParams(9.70, 8.2), 1_000_000, rng)
+    diag_a = fit_diagnostics(fit_a, GammaGammaParams(9.70, 8.2))
     assert diag_a.ks_distance < 0.03
 
 
 def test_fit_diagnostics_monotone_sanity():
     # three-moment approximation degrades from very weak to severe turbulence
-    rng = np.random.default_rng(5)
     ks = {}
     for eta, beta in [(21.5, 19.8), (4.0, 1.84)]:
         fit = fit_alpha_mu(GammaGammaParams(eta, beta))
-        ks[(eta, beta)] = fit_diagnostics(
-            fit, GammaGammaParams(eta, beta), 1_000_000, rng).ks_distance
+        ks[(eta, beta)] = fit_diagnostics(fit, GammaGammaParams(eta, beta)).ks_distance
     assert ks[(21.5, 19.8)] <= ks[(4.0, 1.84)]
 
 
 def test_fit_diagnostics_reports_fourth_moment_gap():
-    rng = np.random.default_rng(11)
     p = GammaGammaParams(4.0, 1.84)
     fit = fit_alpha_mu(p)
-    diag = fit_diagnostics(fit, p, 200_000, rng)
+    diag = fit_diagnostics(fit, p)
     # first three moments match by construction; the fourth does not
     assert diag.fourth_moment_rel_error > 0.0
-    assert diag.draws == 200_000
+    # the distance is the gap of the two CDFs at the x it names
+    law = AlphaMuParams(2.0 * fit.alpha, fit.mu, 1.0 / fit.rho_bar)
+    x = diag.ks_at
+    assert diag.ks_distance == abs(gamma_gamma_cdf(p, x) - alpha_mu_snr_cdf(law, x))
 
 
 def test_fit_diagnostics_requires_convergence():
@@ -162,8 +163,72 @@ def test_fit_diagnostics_requires_convergence():
     bad = fit.__class__(alpha=fit.alpha, mu=fit.mu, rho_bar=fit.rho_bar,
                         residual_norm=1.0, iterations=0, converged=False)
     with pytest.raises(ValueError):
-        fit_diagnostics(bad, GammaGammaParams(21.5, 19.8), 1000,
-                        np.random.default_rng(0))
+        fit_diagnostics(bad, GammaGammaParams(21.5, 19.8))
+
+
+def test_fit_diagnostics_ignores_draws_and_rng():
+    # the distance is computed, not sampled: callers that still pass a sample
+    # size and a generator get the same result, and no warning
+    p = GammaGammaParams(4.34, 1.30)
+    fit = fit_alpha_mu(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fit_diagnostics(fit, p, draws=200_000, rng=np.random.default_rng(7))
+    assert got == fit_diagnostics(fit, p)
+
+
+@pytest.mark.parametrize("eta,beta", TURBULENCE_PAIRS)
+def test_ks_distance_matches_quadpack_oracle(eta, beta):
+    # QUADPACK F_GG on 200 fitted quantiles with golden-section refinement
+    p = GammaGammaParams(eta, beta)
+    fit = fit_alpha_mu(p)
+    oracle = ks_distance_oracle(fit.alpha, fit.mu, fit.rho_bar, eta, beta)
+    assert abs(fit_diagnostics(fit, p).ks_distance - oracle) <= 1e-9
+
+
+KS_GRID = [1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8, 1e10, 1e12]
+
+
+def test_ks_distance_finite_over_log_grid():
+    # where the fit converges, the distance is a number in [0, 1] with no
+    # warning, out to equal shapes of 1e40 (where every draw of a sample
+    # rounded to 1.0 and read 0.5)
+    pairs = [*itertools.product(KS_GRID, repeat=2), (1e20, 1e20), (1e40, 1e40)]
+    checked = 0
+    for eta, beta in pairs:
+        p = GammaGammaParams(eta, beta)
+        try:
+            fit = fit_alpha_mu(p)
+        except NonConvergenceError:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = fit_diagnostics(fit, p)
+        assert 0.0 <= diag.ks_distance <= 1.0, (eta, beta)
+        assert math.isfinite(diag.fourth_moment_rel_error), (eta, beta)
+        checked += 1
+    assert checked >= 100
+    fit = fit_alpha_mu(GammaGammaParams(1e40, 1e40))
+    assert fit_diagnostics(fit, GammaGammaParams(1e40, 1e40)).ks_distance < 1e-6
+
+
+@pytest.mark.parametrize("eta,beta", [*TURBULENCE_PAIRS, (1e20, 1e20), (1e40, 1e40)])
+def test_fourth_moment_error_matches_mpmath(eta, beta):
+    # |r4 / r4_GG - 1| from log r4 = lgamma(mu + 4h) + 3 lgamma(mu) - 4 lgamma(mu + h),
+    # h = 1/alpha, at 150 digits. The library's log r4 is as good as SciPy's poch,
+    # about 1e-14 relative at weak (a), and the error's log is a difference of
+    # two such logs: so the bound is relative to log r4, not to the error itself
+    p = GammaGammaParams(eta, beta)
+    fit = fit_alpha_mu(p)
+    with mpmath.workdps(150):
+        a, m, e, b = map(mpmath.mpf, (fit.alpha, fit.mu, eta, beta))
+        log_r4 = (mpmath.loggamma(m + 4 / a) + 3 * mpmath.loggamma(m)
+                  - 4 * mpmath.loggamma(m + 1 / a))
+        log_gg = sum(mpmath.log1p(k / e) + mpmath.log1p(k / b) for k in (1, 2, 3))
+        exact = abs(mpmath.expm1(log_r4 - log_gg))
+    got = fit_diagnostics(fit, p).fourth_moment_rel_error
+    assert math.isfinite(got)
+    assert abs(got - float(exact)) <= 1e-13 * float(log_r4)
 
 
 def test_fit_grid_fallback_reaches_extreme_pair():

@@ -8,10 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.special import bdtr, bdtrc
 
 import relaylink
 from relaylink import cli, mcsim, scenario
-from relaylink.analysis import PerfEstimate, total_outage
+from relaylink.analysis import PerfEstimate, SweepRow, total_outage
 from relaylink.errors import QuadratureFailureError
 from relaylink.mcsim import DEFAULT_SEED
 from relaylink.scenario import (
@@ -227,6 +228,39 @@ def test_cli_fit_bad_args(capsys):
     assert err.value.code == 1
 
 
+def test_cli_fit_equal_shapes_of_1e40_exit_0(capsys):
+    # a 200,000-draw KS read 0.5 here and exited 3: every draw rounded to 1.0
+    assert cli.main(["fit", "--eta", "1e40", "--beta", "1e40"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("eta,beta", [("21.5", "19.8"), ("4.34", "1.30"), ("0.01", "0.01"),
+                                      ("1e12", "0.01"), ("1e12", "1e12"), ("1e20", "1e20"),
+                                      ("1e40", "1e40")])
+def test_cli_fit_json_is_strict(eta, beta, capsys):
+    # the fourth-moment error was inf from mu ~ 1e38 on, printed as Infinity
+    assert cli.main(["fit", "--eta", eta, "--beta", beta, "--json"]) in (0, 3)
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert all(math.isfinite(v) for v in report.values())
+
+
+def test_cli_fit_output_ignores_seed(capsys, monkeypatch):
+    # --seed and RELAYLINK_SEED are accepted, and change no byte
+    for fmt in ([], ["--json"]):
+        outs = []
+        for seed in (["--seed", "1"], ["--seed", "2"], None):
+            if seed is None:
+                monkeypatch.setenv("RELAYLINK_SEED", "3")
+            assert cli.main(["fit", "--eta", "4.0", "--beta", "1.84", *fmt, *(seed or [])]) == 0
+            outs.append(capsys.readouterr().out)
+            monkeypatch.delenv("RELAYLINK_SEED", raising=False)
+        assert outs[0] == outs[1] == outs[2]
+
+
 def test_cli_outage_csv(scenario_file, tmp_path, capsys):
     out = tmp_path / "o.csv"
     code = cli.main(["outage", scenario_file, "--sweep-snr", "0:20:10",
@@ -252,7 +286,7 @@ def test_cli_outage_zero_length_sweep(scenario_file, tmp_path):
 @pytest.mark.parametrize("spec", ["10:0:1", "0:nan:1", "0:inf:1", "nan:10:1",
                                   "-inf:10:1", "0:10:nan", "0:10:inf",
                                   # points that round to one value, or more
-                                  # points than a float index can count
+                                  # points than cli.SWEEP_MAX_POINTS
                                   "1e16:1.00000000000001e16:1", "0:1e300:1e-300"])
 def test_cli_sweep_empty_or_nonfinite_rejected(scenario_file, tmp_path, spec):
     with pytest.raises(ScenarioError):
@@ -270,6 +304,19 @@ def test_cli_sweep_grid_counted_from_step():
     # the points stay START + i * STEP, and STOP counts when reached up to rounding
     assert cli._parse_snr_sweep("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.1 * 3]
     assert cli._parse_snr_sweep("0:1:0.3") == [0.0, 0.3, 0.6, 0.3 * 3]
+
+
+def test_cli_sweep_point_limit(monkeypatch):
+    # the count is checked from the span, before a point is built: 1e15 points
+    # and the first count past the limit raise at once
+    for spec in ("0:1e15:1", "0:1000000:1"):
+        with pytest.raises(ScenarioError, match="more than 1,000,000 points"):
+            cli._parse_snr_sweep(spec)
+    # both sides of the limit, at a small one
+    monkeypatch.setattr(cli, "SWEEP_MAX_POINTS", 5)
+    assert cli._parse_snr_sweep("0:4:1") == [0.0, 1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ScenarioError, match="more than 5 points"):
+        cli._parse_snr_sweep("0:5:1")
 
 
 def test_cli_huge_db_value_exits_1_naming_it(scenario_file, tmp_path, capsys):
@@ -421,6 +468,40 @@ def test_cli_outage_selfcheck_uses_exact_spread(scenario_file, tmp_path, monkeyp
     code = cli.main(["outage", scenario_file, "--sweep-snr", "30:30:1",
                      "--mc", "20000", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def _mc_row(method, exact, value, std_error=0.0, trials=1000):
+    return SweepRow(0.0, PerfEstimate(exact, method=method), None,
+                    PerfEstimate(value, method="monte_carlo", std_error=std_error, trials=trials))
+
+
+def test_selfcheck_z_edge():
+    # |z| = 5 exactly passes; the next float above 5 fails (0.3125 / 0.0625 = 5
+    # exactly, and one ulp of 0.3125 over 0.0625 is one ulp of 5)
+    up = math.nextafter(0.3125, 1.0)
+    assert cli._selfcheck_failure(_mc_row("quadrature", 0.0, 0.3125, 0.0625)) is None
+    assert cli._selfcheck_failure(_mc_row("quadrature", 0.3125, 0.0, 0.0625)) is None
+    assert (0.0 + up) / 0.0625 == math.nextafter(5.0, 6.0)
+    for exact, value in ((0.0, up), (up, 0.0)):
+        failure = cli._selfcheck_failure(_mc_row("quadrature", exact, value, 0.0625))
+        assert failure is not None and "beyond 5 sigma" in failure
+
+
+def test_selfcheck_no_hits():
+    # hits == 0 has no upper tail to test; the lower tail P(X = 0) = (1 - p)^n decides
+    assert cli._selfcheck_failure(_mc_row("exact", 1e-4, 0.0)) is None  # 0.905
+    failure = cli._selfcheck_failure(_mc_row("exact", 0.05, 0.0))     # 5.3e-23
+    assert failure is not None and failure.startswith("binomial tail probability 5.")
+
+
+def test_selfcheck_tail_edge(monkeypatch):
+    # a tail equal to the limit passes, and the limit one float above it fails
+    row = _mc_row("exact", 0.01, 0.03)  # 30 hits of 1000 at p = 0.01
+    tail = min(bdtr(30, 1000, 0.01), bdtrc(29, 1000, 0.01))
+    monkeypatch.setattr(cli, "_SELFCHECK_TAIL", tail)
+    assert cli._selfcheck_failure(row) is None
+    monkeypatch.setattr(cli, "_SELFCHECK_TAIL", math.nextafter(tail, 1.0))
+    assert cli._selfcheck_failure(row) is not None
 
 
 @pytest.mark.parametrize("sweep,dbs_z", [
