@@ -18,7 +18,7 @@ from .analysis import (
     total_outage,
 )
 from .channels import AlphaMuParams, GammaGammaParams
-from .errors import NonConvergenceError, QuadratureFailureError
+from .errors import NonConvergenceError
 from .ggfit import (
     FitDiagnostics,
     FitResult,
@@ -31,9 +31,8 @@ from .selection import SchedulingSpec
 
 __all__ = [
     "AlphaMuParams", "AsymptoticReport", "DEFAULT_SEED", "FitDiagnostics",
-    "FitResult", "GammaGammaParams", "McConfig",
-    "NonConvergenceError", "PerfEstimate", "QuadratureFailureError",
-    "Scenario", "ScenarioError", "SchedulingSpec", "SweepRow", "SystemConfig",
+    "FitResult", "GammaGammaParams", "McConfig", "NonConvergenceError",
+    "PerfEstimate", "Scenario", "ScenarioError", "SchedulingSpec", "SweepRow", "SystemConfig",
     "asep", "asymptotic_outage", "classify_asymptotics", "configure",
     "evaluate", "fit_alpha_mu", "fit_diagnostics", "load_scenario",
     "phase1_outage", "phase2_outage", "rng_stream", "serialize_scenario",

@@ -12,14 +12,16 @@ import functools
 import math
 from dataclasses import dataclass
 
-from scipy.special import logsumexp, roots_hermite
+import numpy as np
+from scipy.special import logsumexp
 
 from . import selection
 from .channels import AlphaMuParams, alpha_mu_snr_cdf
-from .errors import QuadratureFailureError
 from .selection import SchedulingSpec
 
 _SQRT_PI = math.sqrt(math.pi)
+ASEP_RTOL = 1e-8  # asep's tolerance, relative to the integral
+_ROUGH_POINTS = 129  # the fixed grid of the scale estimate
 
 
 @dataclass(frozen=True)
@@ -109,46 +111,30 @@ def _total_outage_value(c: SystemConfig, gamma):
     return _either(_phase1(c, gamma), _phase2(c, gamma))
 
 
-@functools.cache
-def _hermite_rule():
-    return roots_hermite(256)
-
-
-def asep(c: SystemConfig, rule=None) -> PerfEstimate:
+def asep(c: SystemConfig) -> PerfEstimate:
     """Average symbol error probability by quadrature of the CDF-based
     integral (a sqrt(b) / 2 sqrt(pi)) * int e^{-b g} F_tot(g) / sqrt(g) dg.
 
-    The substitution g = u^2/b maps the integral onto the Gauss-Hermite
-    weight; rule is the (nodes, weights) pair of scipy.special.roots_hermite,
-    256 nodes by default. An adaptive-Simpson evaluation of the raw integral
-    serves as an independent cross-check. When the end-to-end CDF has a
-    fractional power g^(alpha mu / 2) with alpha*mu < 2 the Hermite rule
-    converges only algebraically, so the adaptive value is returned in that
-    regime.
+    The substitution g = t^2 removes the endpoint singularity exactly,
+    leaving (a sqrt(b) / sqrt(pi)) * int_0^T e^{-b t^2} F_tot(t^2) dt with
+    e^{-b T^2} = e^{-40}, which adaptive Simpson evaluates to ASEP_RTOL
+    relative to the integral. A composite Simpson sum over a fixed grid, one
+    array call of the core, gives the scale the tolerance is relative to.
+    Near g = 0, F_tot goes as g^(alpha mu / 2), which no fixed rule resolves
+    for every alpha mu; the adaptive rule refines there as far as it must.
     """
-    nodes, weights = _hermite_rule() if rule is None else rule
     a, b = c.mod_a, c.mod_b
-    hermite = a / (2.0 * _SQRT_PI) * math.fsum(
-        weights * _total_outage_value(c, nodes * nodes / b))
+    top = math.sqrt(40.0 / b)
+    t = np.linspace(0.0, top, _ROUGH_POINTS)
+    f = np.exp(-b * t * t) * _total_outage_value(c, t * t)
+    rough = top / (3.0 * (_ROUGH_POINTS - 1)) * float(
+        f[0] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum() + f[-1])
 
-    # adaptive cross-check with the endpoint singularity removed exactly by
-    # gamma = t^2:  int e^{-b g} F(g) / sqrt(g) dg = 2 int e^{-b t^2} F(t^2) dt
     def integrand(t):
         return math.exp(-b * t * t) * _total_outage_value(c, t * t)
 
-    adaptive = (a * math.sqrt(b) / _SQRT_PI
-                * _adaptive_simpson(integrand, 0.0, math.sqrt(40.0 / b), tol=1e-10))
-
-    smooth = min(c.sr_model.alpha * c.sr_model.mu,
-                 c.rs_model.alpha * c.rs_model.mu) >= 2.0
-    if abs(hermite - adaptive) > 1e-6:
-        if smooth:
-            raise QuadratureFailureError(
-                f"Hermite ({hermite:.9e}) and adaptive ({adaptive:.9e}) quadratures "
-                f"disagree by {abs(hermite - adaptive):.2e}")
-        value = adaptive
-    else:
-        value = hermite
+    value = (a * math.sqrt(b) / _SQRT_PI
+             * _adaptive_simpson(integrand, 0.0, top, tol=ASEP_RTOL * rough))
     return PerfEstimate(min(max(value, 0.0), 1.0), method="quadrature")
 
 

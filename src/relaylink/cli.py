@@ -13,9 +13,9 @@ in as few passes as the points allow. A negative START is written
 
 Exit codes: 0 success, 1 usage or scenario error (including a --sweep-snr grid
 that is empty, non-finite, over SWEEP_MAX_POINTS or has coinciding points, and
-a dB value too large for a float), 2 solver failure (non-convergence, or
-quadrature routes that disagree), 3 self-check failure (Monte-Carlo, or a fit's
-KS distance over FIT_KS_LIMIT). The Monte-Carlo seed is --seed, else the
+a dB value too large for a float), 2 solver failure (a fit that does not
+converge), 3 self-check failure (Monte-Carlo, or a fit's KS distance over
+FIT_KS_LIMIT). The Monte-Carlo seed is --seed, else the
 RELAYLINK_SEED environment variable, else a fixed default; fit ignores both.
 """
 
@@ -33,7 +33,7 @@ from scipy.special import bdtr, bdtrc, ndtr
 
 from . import analysis
 from .channels import GammaGammaParams
-from .errors import NonConvergenceError, QuadratureFailureError
+from .errors import NonConvergenceError
 from .ggfit import fit_alpha_mu, fit_diagnostics
 from .mcsim import McConfig
 from .scenario import ScenarioError, linear_to_db, load_scenario
@@ -233,13 +233,8 @@ def cmd_curve(args) -> int:
     else:
         points = [(db, analysis.configure(sc.system, "mean_snr_db", db))
                   for db in _parse_snr_sweep(args.sweep_snr)]
-    sweep = analysis.sweep(points, metric, mc_cfg)
     rows, failures = [], []
-    for i, (db, _) in enumerate(points):
-        try:
-            row = next(sweep)
-        except QuadratureFailureError as exc:
-            raise QuadratureFailureError(f"at {db!r} dB: {exc}") from exc
+    for i, ((db, _), row) in enumerate(zip(points, analysis.sweep(points, metric, mc_cfg))):
         cols = [row.value, row.exact.value]
         if metric == "outage":
             cols.append(row.asymptotic.value if row.asymptotic else None)
@@ -295,9 +290,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"relaylink {args.command}: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except QuadratureFailureError as exc:
-        print(f"relaylink {args.command}: quadrature failure {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 
 

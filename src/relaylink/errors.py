@@ -7,7 +7,3 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-
-
-class QuadratureFailureError(RuntimeError):
-    """Two independent quadrature routes disagree beyond tolerance."""

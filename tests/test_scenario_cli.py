@@ -13,7 +13,6 @@ from scipy.special import bdtr, bdtrc
 import relaylink
 from relaylink import cli, mcsim, scenario
 from relaylink.analysis import PerfEstimate, SweepRow, total_outage
-from relaylink.errors import QuadratureFailureError
 from relaylink.mcsim import DEFAULT_SEED
 from relaylink.scenario import (
     Scenario,
@@ -523,18 +522,6 @@ def test_cli_asep_tripwire_exit_3(scenario_file, tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err.splitlines() == [
         f"relaylink asep: Monte-Carlo self-check failed at {db} dB: "
         f"MC vs quadrature z = {z}, beyond 5 sigma" for db, z in dbs_z]
-
-
-def test_cli_asep_quadrature_failure_exit_2(scenario_file, tmp_path, monkeypatch, capsys):
-    def failing_asep(c):
-        raise QuadratureFailureError("routes disagree by 5.6e-05")
-    monkeypatch.setattr(cli.analysis, "asep", failing_asep)
-    code = cli.main(["asep", scenario_file, "--sweep-snr", "4:4:1",
-                     "--out", str(tmp_path / "a.csv")])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["relaylink asep: quadrature failure at 4.0 dB: "
-                   "routes disagree by 5.6e-05"]
 
 
 def test_cli_asep_csv(scenario_file, tmp_path):

@@ -3,8 +3,8 @@ oracle: the regularized incomplete gamma P(a, x) behind the alpha-mu CDF,
 its inverse `scipy.special.gammaincinv` behind the hop inverse of the
 Monte-Carlo test oracles (`oracles.hop_inverse`), which must be within 1e-14
 relative of an mpmath quantile, the lower incomplete gamma (Meijer-G)
-kernel, the Gauss-Hermite rule of `asep` and its adaptive-Simpson
-cross-check."""
+kernel, SciPy's Gauss-Hermite rule against NumPy's, and the adaptive
+Simpson rule of `asep`."""
 
 import math
 import warnings
@@ -203,17 +203,6 @@ def test_hermite_vs_numpy(n):
     xs, ws = hermgauss(n)
     assert np.max(np.abs(nodes - xs)) < 1e-12
     assert np.max(np.abs(weights - ws) / ws) < 1e-10
-
-
-def test_quadrature_rule_invariants():
-    # the default rule of asep: 256 strictly increasing nodes, positive
-    # weights (none underflowed), symmetric about 0
-    nodes, weights = analysis._hermite_rule()
-    assert nodes.shape == weights.shape == (256,)
-    assert np.all(np.diff(nodes) > 0.0)
-    assert np.all(weights > 0.0)
-    assert np.array_equal(nodes, -nodes[::-1])
-    assert np.array_equal(weights, weights[::-1])
 
 
 # --------------------------------------------------- adaptive Simpson
