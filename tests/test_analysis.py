@@ -140,6 +140,19 @@ def test_asep_exponential_closed_form_oracle():
         assert asep(config(**ALL_EXP, snr=snr)).value == pytest.approx(oracle, rel=1e-8)
 
 
+def test_asep_unresolvable_feature_raises_not_lies():
+    # a mean SNR far below 1 puts the whole variation of F_tot on a scale
+    # far below the coarsest Simpson panel; the relative stopping rule must
+    # still refine down to it rather than return the a/2 plateau or a value
+    # in between
+    for snr in (1e-9, 1e-12, 1e-15):
+        x = snr / 4.0
+        oracle = 0.5 / ((1.0 + x) * (1.0 + math.sqrt(x / (1.0 + x))))
+        val = asep(config(**ALL_EXP, snr=snr)).value
+        assert val == pytest.approx(oracle, rel=1e-8)
+        assert val < 0.5
+
+
 def test_asep_range_and_monotone_in_snr():
     prev = 0.5
     for db in (0.0, 5.0, 10.0, 15.0, 20.0):
