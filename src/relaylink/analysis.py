@@ -118,21 +118,20 @@ def asep(c: SystemConfig) -> PerfEstimate:
     The substitution g = t^2 removes the endpoint singularity exactly,
     leaving (a sqrt(b) / sqrt(pi)) * int_0^T e^{-b t^2} F_tot(t^2) dt with
     e^{-b T^2} = e^{-40}, which adaptive Simpson evaluates to ASEP_RTOL
-    relative to the integral. A composite Simpson sum over a fixed grid, one
-    array call of the core, gives the scale the tolerance is relative to.
-    Near g = 0, F_tot goes as g^(alpha mu / 2), which no fixed rule resolves
-    for every alpha mu; the adaptive rule refines there as far as it must.
+    relative to the integral, on the scale of a composite Simpson sum on a
+    fixed grid: one array call of the core, like each level of the adaptive
+    rule. Near g = 0, F_tot goes as g^(alpha mu / 2), which no fixed rule
+    resolves for every alpha mu; the adaptive rule refines there as far as it must.
     """
     a, b = c.mod_a, c.mod_b
     top = math.sqrt(40.0 / b)
-    t = np.linspace(0.0, top, _ROUGH_POINTS)
-    f = np.exp(-b * t * t) * _total_outage_value(c, t * t)
-    rough = top / (3.0 * (_ROUGH_POINTS - 1)) * float(
-        f[0] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum() + f[-1])
 
     def integrand(t):
-        return math.exp(-b * t * t) * _total_outage_value(c, t * t)
+        return np.exp(-b * t * t) * _total_outage_value(c, t * t)
 
+    f = integrand(np.linspace(0.0, top, _ROUGH_POINTS))
+    rough = top / (3.0 * (_ROUGH_POINTS - 1)) * float(
+        f[0] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum() + f[-1])
     value = (a * math.sqrt(b) / _SQRT_PI
              * _adaptive_simpson(integrand, 0.0, top, tol=ASEP_RTOL * rough))
     return PerfEstimate(min(max(value, 0.0), 1.0), method="quadrature")
@@ -140,25 +139,29 @@ def asep(c: SystemConfig) -> PerfEstimate:
 
 def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
                       max_depth: int = 60) -> float:
-    """Recursive adaptive Simpson integration of f over [a, b]."""
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
+    """Adaptive Simpson integration of f over [a, b], level by level: f maps an
+    array of nodes to their values, and one call takes the quarter points of
+    every open interval (the first also a, b and the midpoint). An interval at
+    depth d is accepted at its Richardson value when |delta| <= 15 tol / 2^d or
+    d = max_depth: the recursive rule's leaves and nodes, summed exactly."""
     m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+    fa, fm, fb, *quarters = f(np.array([a, m, b, 0.5 * (a + m), 0.5 * (m + b)]))
+    open_ = np.array([[a], [b], [fa], [fm], [fb], [(b - a) / 6.0 * (fa + 4.0 * fm + fb)]])
+    accepted, depth = [], 0
+    while open_.size:
+        lo, hi, fa, fm, fb, whole = open_
+        mid = 0.5 * (lo + hi)
+        quarters = f(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])) if depth else quarters
+        flm, frm = np.reshape(quarters, (2, -1))
+        left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        done = (np.abs(delta) <= 15.0 * (tol / 2.0 ** depth)) | (depth >= max_depth)
+        accepted.extend(left[done] + right[done] + delta[done] / 15.0)
+        open_ = np.hstack([np.array([lo, mid, fa, flm, fm, left]),
+                           np.array([mid, hi, fm, frm, fb, right])])[:, np.tile(~done, 2)]
+        depth += 1
+    return math.fsum(accepted)
 
 
 def _require_equal_snrs(c: SystemConfig) -> float:

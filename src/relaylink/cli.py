@@ -288,9 +288,6 @@ def main(argv=None) -> int:
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"relaylink {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonConvergenceError as exc:
-        print(f"relaylink {args.command}: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

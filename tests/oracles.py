@@ -18,7 +18,9 @@ has its moments and sampler here, its CDF as a Meijer G-function by mpmath and b
 QUADPACK, and the Kolmogorov-Smirnov distance of a fit by a dense quantile
 grid and golden-section search, none of it the library's code. The ASEP
 integral is taken by QUADPACK over an end-to-end CDF built here from SciPy's
-incomplete gamma and beta functions.
+incomplete gamma and beta functions. Scalar densities are integrated by
+QUADPACK too, and the recursive adaptive Simpson rule, one node per call,
+checks the library's level-by-level one.
 """
 
 import math
@@ -93,6 +95,38 @@ def asep_quad(c):
     return a * math.sqrt(b / math.pi) * math.fsum(
         quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)[0]
         for lo, hi in zip(ends, ends[1:]))
+
+
+def quad_value(f, a, b):
+    """int_a^b f of a scalar f by QUADPACK at 1e-13, absolute or relative, in u
+    with x = a + (b - a) u^2, which smooths a power singularity at or just
+    below a. In x, QUADPACK's extrapolation takes a density going as x^-1/2
+    from 0 to be singular at a itself: over [1e-11, 1e-3] it adds 1e-6."""
+    return quad(lambda u: 2.0 * (b - a) * u * f(a + (b - a) * u * u), 0.0, 1.0,
+                epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+
+
+def simpson_recursive(f, a, b, tol=1e-10, max_depth=60):
+    """Adaptive Simpson integration of a scalar f over [a, b], depth first:
+    an interval at depth d is accepted, at its Richardson value, when its
+    halves agree with it to 15 tol / 2^d, or at depth max_depth."""
+    fa, fb = f(a), f(b)
+    fm = f(0.5 * (a + b))
+    return _simpson_step(f, a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb),
+                         tol, max_depth)
+
+
+def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    return (_simpson_step(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+            + _simpson_step(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
 
 
 def best_select_cdf(s, gamma):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import asep_quad, total_outage_expanded
+from oracles import asep_quad, simpson_recursive, total_outage_expanded
 
 from relaylink import analysis
 from relaylink.analysis import (
@@ -196,6 +197,48 @@ def test_asep_high_snr_matches_quadpack(db):
     for name, system in configs.items():
         c = analysis.configure(system, "mean_snr_db", db)
         assert asep(c).value == pytest.approx(asep_quad(c), rel=1e-8), name
+
+
+def test_asep_matches_recursive_simpson():
+    # the level-by-level rule takes the leaves and nodes of the recursive one,
+    # so only the order of summation and np.exp for math.exp move bits
+    tols = []
+    real = analysis._adaptive_simpson
+
+    def spy(f, a, b, tol):
+        tols.append(tol)
+        return real(f, a, b, tol)
+
+    for name, system in _scenario_curves():
+        for db in range(0, 41, 4):
+            c = analysis.configure(system, "mean_snr_db", db)
+            a, b = c.mod_a, c.mod_b
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "_adaptive_simpson", spy)
+                value = asep(c).value
+            expect = a * math.sqrt(b) / math.sqrt(math.pi) * simpson_recursive(
+                lambda t: math.exp(-b * t * t) * analysis._total_outage_value(c, t * t),
+                0.0, math.sqrt(40.0 / b), tols.pop())
+            assert value == pytest.approx(expect, rel=1e-13, abs=0.0), (name, db)
+
+
+def test_asep_calls_the_core_once_per_level(monkeypatch):
+    # one array call for the scale grid, and one per Simpson level
+    calls = []
+    core = analysis._total_outage_value
+
+    def counted(c, gamma):
+        calls.append(type(gamma))
+        return core(c, gamma)
+
+    monkeypatch.setattr(analysis, "_total_outage_value", counted)
+    max_depth = inspect.signature(analysis._adaptive_simpson).parameters["max_depth"].default
+    for name, system in _scenario_curves():
+        for db in (0, 20, 40):
+            calls.clear()
+            asep(analysis.configure(system, "mean_snr_db", db))
+            assert set(calls) == {np.ndarray}, (name, db)
+            assert len(calls) <= max_depth + 2, (name, db)
 
 
 # ---------------------------------------------------------- asymptotics

@@ -11,10 +11,10 @@ from oracles import (
     gamma_gamma_cdf_meijerg,
     gamma_gamma_moment,
     gamma_gamma_sample,
+    quad_value,
 )
 from scipy.special import gammaincinv
 
-from relaylink.analysis import _adaptive_simpson
 from relaylink.channels import (
     AlphaMuParams,
     GammaGammaParams,
@@ -80,8 +80,7 @@ def test_envelope_pdf_one_sided_gaussian_pointwise():
 def _integrate_panels(f, scale, tail):
     # graded panels so the adaptive rule cannot step over a narrow peak
     points = [0.0] + list(scale * np.geomspace(1e-4, tail, 16))
-    return math.fsum(_adaptive_simpson(f, a, b, tol=1e-11)
-                     for a, b in zip(points, points[1:]))
+    return math.fsum(quad_value(f, a, b) for a, b in zip(points, points[1:]))
 
 
 @pytest.mark.parametrize("alpha,mu,omega", [
@@ -98,8 +97,7 @@ def test_envelope_pdf_normalizes(alpha, mu, omega):
 def test_envelope_cdf_matches_pdf_integral():
     args = (1.68, 1.85, 1.1)
     for h in (0.4, 1.0, 1.9):
-        integral = _adaptive_simpson(
-            lambda t: alpha_mu_envelope_pdf(*args, t), 0.0, h, tol=1e-11)
+        integral = quad_value(lambda t: alpha_mu_envelope_pdf(*args, t), 0.0, h)
         assert alpha_mu_envelope_cdf(*args, h) == pytest.approx(integral, abs=1e-9)
 
 
@@ -126,8 +124,7 @@ def test_snr_pdf_normalizes(alpha, mu, gbar):
     head = z0 ** mu / math.gamma(mu + 1.0)
     points = [eps] + list(gbar * np.geomspace(max(1e-4, 2 * eps / gbar), tail, 16))
     mass = head + math.fsum(
-        _adaptive_simpson(lambda g: alpha_mu_snr_pdf(p, g), a, b, tol=1e-11)
-        for a, b in zip(points, points[1:]))
+        quad_value(lambda g: alpha_mu_snr_pdf(p, g), a, b) for a, b in zip(points, points[1:]))
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
@@ -140,7 +137,7 @@ def test_snr_cdf_closed_forms():
 
 def test_snr_cdf_equals_pdf_integral_weak_a():
     p = AlphaMuParams(1.68, 1.85, 10.0)
-    integral = _adaptive_simpson(lambda g: alpha_mu_snr_pdf(p, g), 0.0, 1.0, tol=1e-11)
+    integral = quad_value(lambda g: alpha_mu_snr_pdf(p, g), 0.0, 1.0)
     assert alpha_mu_snr_cdf(p, 1.0) == pytest.approx(integral, abs=1e-9)
 
 

@@ -213,10 +213,29 @@ def test_adaptive_simpson_polynomial():
 
 
 def test_adaptive_simpson_exponential():
-    assert analysis._adaptive_simpson(math.exp, 0.0, 2.0) == pytest.approx(
+    assert analysis._adaptive_simpson(np.exp, 0.0, 2.0) == pytest.approx(
         math.exp(2.0) - 1.0, abs=1e-9)
 
 
 def test_adaptive_simpson_gaussian_tail():
-    val = analysis._adaptive_simpson(lambda u: math.exp(-u * u), 0.0, 12.0)
+    val = analysis._adaptive_simpson(lambda u: np.exp(-u * u), 0.0, 12.0)
     assert val == pytest.approx(SQRT_PI / 2.0, abs=1e-10)
+
+
+def test_adaptive_simpson_one_level_at_depth_zero():
+    # at max_depth 0 the rule returns the first Richardson value, which is
+    # Boole's rule on five nodes: (1/90) (7 f0 + 32 f1 + 12 f2 + 32 f3 + 7 f4)
+    # on [0, 1], for x^6 (0 + 32/4096 + 12/64 + 32 * 729/4096 + 7) / 90
+    boole = (32.0 / 4096.0 + 12.0 / 64.0 + 32.0 * 729.0 / 4096.0 + 7.0) / 90.0
+    assert analysis._adaptive_simpson(lambda x: x ** 6, 0.0, 1.0, max_depth=0) == (
+        pytest.approx(boole, rel=1e-15))
+    assert analysis._adaptive_simpson(lambda x: x ** 6, 0.0, 1.0) == pytest.approx(
+        1.0 / 7.0, abs=1e-12)
+
+
+def test_adaptive_simpson_refines_to_an_off_grid_kink():
+    # the derivative of sqrt|x - 1/3| is unbounded at a point no level's
+    # nodes hit; int_0^1 = (2/3) ((1/3)^1.5 + (2/3)^1.5)
+    exact = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
+    val = analysis._adaptive_simpson(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0)
+    assert val == pytest.approx(exact, abs=1e-9)

@@ -1,9 +1,13 @@
-"""Checks on the shape of the library source, by static analysis."""
+"""Checks on the shape of the library source, by static analysis, and on what
+importing it loads."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import relaylink
@@ -63,6 +67,20 @@ def test_scipy_only_through_special():
             reached += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] == "scipy" and name != "scipy.special"]
     assert reached == []
+
+
+def test_library_loads_no_scipy_integrate():
+    # the run-time side of the import budget: the library's quadrature is its
+    # own, and scipy.integrate (QUADPACK) serves the test oracles alone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, relaylink, relaylink.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_cli_reaches_the_core_only_through_sweep():
