@@ -37,8 +37,7 @@ def main():
         print(f"{'SNR dB':>7} {'exact':>12} {'asymptotic':>12} {'monte carlo':>12}")
         points = [(db, configure(c, "mean_snr_db", db)) for db in grid]
         for row in sweep(points, mc=mc):
-            asym = f"{row.asymptotic.value:.4e}" if row.asymptotic else "-"
-            print(f"{row.value:>7.0f} {row.exact.value:>12.4e} {asym:>12} "
+            print(f"{row.value:>7.0f} {row.exact.value:>12.4e} {row.asymptotic.value:>12.4e} "
                   f"{row.mc.value:>12.4e}")
 
 

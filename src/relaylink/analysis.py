@@ -22,6 +22,7 @@ from .selection import SchedulingSpec
 _SQRT_PI = math.sqrt(math.pi)
 ASEP_RTOL = 1e-8  # asep's tolerance, relative to the integral
 _ROUGH_POINTS = 129  # the fixed grid of the scale estimate
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,10 @@ class SystemConfig:
     mod_b: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma_th > 0 and self.mod_a > 0 and self.mod_b > 0):
-            raise ValueError("gamma_th, mod_a, mod_b must be positive")
+        if not (0 < self.gamma_th < math.inf and 0 < self.mod_a < math.inf and 0 < self.mod_b
+                and 0 < math.sqrt(40.0 / self.mod_b) < math.inf):  # asep's upper limit
+            raise ValueError(f"gamma_th, mod_a, sqrt(40 / mod_b) must be finite and positive, "
+                             f"got ({self.gamma_th}, {self.mod_a}, {self.mod_b})")
 
     def all_mean_snrs(self):
         return (self.scheduling.uplink_mean_snr, self.scheduling.downlink_mean_snr,
@@ -164,14 +167,6 @@ def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
     return math.fsum(accepted)
 
 
-def _require_equal_snrs(c: SystemConfig) -> float:
-    snrs = c.all_mean_snrs()
-    ref = snrs[0]
-    if any(abs(s / ref - 1.0) > 1e-12 for s in snrs):
-        raise ValueError(f"asymptotics assume equal SNR scales, got {snrs}")
-    return ref
-
-
 def _finite_or_inf(f, x):
     """f(x), or inf where the result leaves the float range."""
     try:
@@ -181,25 +176,26 @@ def _finite_or_inf(f, x):
 
 
 def _hop_term(link: AlphaMuParams):
-    """(order, coefficient, log coefficient) of an alpha-mu hop's high-SNR
-    outage term: with lam = gamma_th / mean_snr, P(mu, mu lam^(alpha/2)) ~
-    z^mu / Gamma(mu + 1) = mu^(mu-1) / Gamma(mu) * lam^(alpha mu / 2)."""
+    """(order, coefficient, log coefficient, scale) of an alpha-mu hop's
+    high-SNR outage term: with lam = gamma_th / mean_snr, P(mu, mu lam^(alpha/2))
+    ~ z^mu / Gamma(mu + 1) = mu^(mu-1) / Gamma(mu) * lam^(alpha mu / 2)."""
     mu = link.mu
     log_coef = (mu - 1.0) * math.log(mu) - math.lgamma(mu)
-    return link.alpha * mu / 2.0, _finite_or_inf(math.exp, log_coef), log_coef
+    return link.alpha * mu / 2.0, _finite_or_inf(math.exp, log_coef), log_coef, link.mean_snr
 
 
 def _outage_terms(c: SystemConfig):
-    """(order, coefficient, log coefficient) of each high-SNR outage term
-    coef * lam^order, lam = gamma_th / mean_snr, in summation order: the
-    N-th best uplink (T1), the S->R and R->S hops, and the downlink (T3); a
-    coefficient beyond the float range is inf. The uplink coefficient is
-    Psi1 = C(K-1, N-1) K / (K-N+1) = C(K, N-1), rounded once; Psi2 =
-    Gamma(mu, 0)/Gamma(mu) - 1 is identically zero and is dropped."""
-    k_tot, n = c.scheduling.k_total, c.scheduling.n_order
-    psi1 = math.comb(k_tot, n - 1)
-    return [(k_tot - n + 1, _finite_or_inf(float, psi1), math.log(psi1)),
-            _hop_term(c.sr_model), _hop_term(c.rs_model), (1, 1.0, 0.0)]
+    """(order, coefficient, log coefficient, scale) of each high-SNR outage
+    term coef * lam^order, lam = gamma_th / scale with scale its own link's, in
+    summation order: the N-th best uplink (T1), the S->R and R->S hops, and
+    the downlink (T3); a coefficient beyond the float range is inf. The uplink
+    coefficient is Psi1 = C(K-1, N-1) K / (K-N+1) = C(K, N-1), rounded once;
+    Psi2 = Gamma(mu, 0)/Gamma(mu) - 1 is identically zero and is dropped."""
+    s = c.scheduling
+    psi1 = math.comb(s.k_total, s.n_order - 1)
+    uplink = (s.k_total - s.n_order + 1, _finite_or_inf(float, psi1), math.log(psi1))
+    return [(*uplink, s.uplink_mean_snr), _hop_term(c.sr_model), _hop_term(c.rs_model),
+            (1, 1.0, 0.0, s.downlink_mean_snr)]
 
 
 def _power_term(order, coef, log_coef, lam):
@@ -218,11 +214,11 @@ def _ties(order, best):
 
 
 def asymptotic_outage(c: SystemConfig) -> PerfEstimate:
-    """High-SNR outage approximation: the sum of the dominant per-link terms."""
-    lam_gth = c.gamma_th / _require_equal_snrs(c)
+    """High-SNR outage approximation: the sum of the per-link terms, each at
+    its own link's scale."""
     value = 0.0  # a loop, not sum(): from Python 3.12 sum() compensates, changing bits
-    for term in _outage_terms(c):
-        value += _power_term(*term, lam_gth)
+    for order, coef, log_coef, scale in _outage_terms(c):
+        value += _power_term(order, coef, log_coef, c.gamma_th / scale)
     return PerfEstimate(min(value, 1.0), method="asymptotic")
 
 
@@ -230,14 +226,18 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
     """Diversity order and per-term coding gains of the high-SNR law
     Gc * SNR^{-Gd}.
 
+    SNR is the uplink scale: each coefficient takes the factor (uplink scale /
+    its link's scale)^order, and its log the log of that from the two scales'.
     T2 is the optical term: its order is the smaller alpha*mu/2 of the two
     hops, and its gain is derived from the asymptotic expression itself, from
     the hop or hops of that order, so that (Gc * SNR)^{-Gd} reproduces their
-    summed term exactly; from its log where a coefficient is inf. A gain
-    beyond the float range is inf, and one below it 0.
+    summed term exactly (`_gain`). A gain beyond the float range is inf, and
+    one below it 0.
     """
-    _require_equal_snrs(c)
-    t1, *hops, t3 = _outage_terms(c)
+    ref = c.scheduling.uplink_mean_snr
+    t1, *hops, t3 = [(order, _power_term(order, coef, log_coef, ref / scale),
+                      log_coef + order * (math.log(ref) - math.log(scale)))
+                     for order, coef, log_coef, scale in _outage_terms(c)]
     t2_order = min(order for order, _, _ in hops)
     tied = [(coef, log_coef) for order, coef, log_coef in hops if _ties(order, t2_order)]
     t2 = (t2_order, sum(coef for coef, _ in tied), logsumexp([lc for _, lc in tied]))
@@ -245,17 +245,24 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
     orders = {t: float(order) for t, (order, _, _) in terms.items()}
     diversity = min(orders.values())
     dominant = frozenset(t for t, d in orders.items() if _ties(d, diversity))
-    gains = {t: (_finite_or_inf(functools.partial(pow, coef), -1.0 / order)
-                 if math.isfinite(coef) else math.exp(-log_coef / order)) / c.gamma_th
-             for t, (order, coef, log_coef) in terms.items()}
+    gains = {t: _gain(*term, c.gamma_th) for t, term in terms.items()}
     return AsymptoticReport(diversity, gains, dominant)
+
+
+def _gain(order, coef, log_coef, gamma_th):
+    """coef^(-1/order) / gamma_th; from log_coef where coef is 0, subnormal or
+    inf, and where the quotient leaves the float range (inf above it, 0 below)."""
+    gain = (_finite_or_inf(functools.partial(pow, coef), -1.0 / order) if _TINY <= coef < math.inf
+            else _finite_or_inf(math.exp, -log_coef / order)) / gamma_th
+    return (gain if 0.0 < gain < math.inf
+            else _finite_or_inf(math.exp, -log_coef / order - math.log(gamma_th)))
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """One curve point: exact is the analytic value (the exact outage, or the
     ASEP by quadrature; its method says which), asymptotic the high-SNR
-    outage where it applies."""
+    outage of an outage row and None for an ASEP row."""
 
     value: float
     exact: PerfEstimate
@@ -271,16 +278,10 @@ def _checked(metric: str) -> str:
 
 def evaluate(c: SystemConfig, value, metric: str = "outage") -> SweepRow:
     """The analytic curve row of c at the swept value: metric "outage" gives
-    the exact outage and its asymptote (None for unequal SNR scales), "asep"
-    the ASEP by quadrature."""
-    if _checked(metric) == "outage":
-        exact = total_outage(c)
-        try:
-            asym = asymptotic_outage(c)
-        except ValueError:
-            asym = None
-    else:
-        exact, asym = asep(c), None
+    the exact outage and its asymptote, at any link scales, "asep" the ASEP by
+    quadrature and no asymptote."""
+    exact, asym = ((total_outage(c), asymptotic_outage(c)) if _checked(metric) == "outage"
+                   else (asep(c), None))
     return SweepRow(value=float(value), exact=exact, asymptotic=asym, mc=None)
 
 
@@ -339,12 +340,12 @@ def configure(c: SystemConfig, variable: str, value) -> SystemConfig:
             c, scheduling=sched,
             sr_model=dataclasses.replace(c.sr_model, mean_snr=snr),
             rs_model=dataclasses.replace(c.rs_model, mean_snr=snr))
-    if variable == "K":
+    if variable in ("K", "N"):
+        if not float(value).is_integer():
+            raise ValueError(f"{variable} must be an integer, got {value!r}")
+        field = "k_total" if variable == "K" else "n_order"
         return dataclasses.replace(
-            c, scheduling=dataclasses.replace(c.scheduling, k_total=int(value)))
-    if variable == "N":
-        return dataclasses.replace(
-            c, scheduling=dataclasses.replace(c.scheduling, n_order=int(value)))
+            c, scheduling=dataclasses.replace(c.scheduling, **{field: int(value)}))
     if variable == "gamma_th":
         return dataclasses.replace(c, gamma_th=float(value))
     raise ValueError(f"variable must be mean_snr_db, K, N or gamma_th, got {variable!r}")

@@ -45,8 +45,8 @@ class AlphaMuParams:
     mean_snr: float
 
     def __post_init__(self):
-        if not (0 < self.alpha < math.inf and 0 < self.mu < math.inf and self.mean_snr > 0):
-            raise ValueError(f"alpha, mu must be finite and positive and mean_snr positive, "
+        if not all(0 < x < math.inf for x in (self.alpha, self.mu, self.mean_snr)):
+            raise ValueError(f"alpha, mu must be finite and positive, as must mean_snr, "
                              f"got ({self.alpha}, {self.mu}, {self.mean_snr})")
         if self.mu > 1e300:
             raise ValueError(f"mu must be at most 1e300, got {self.mu}")

@@ -235,9 +235,7 @@ def cmd_curve(args) -> int:
                   for db in _parse_snr_sweep(args.sweep_snr)]
     rows, failures = [], []
     for i, ((db, _), row) in enumerate(zip(points, analysis.sweep(points, metric, mc_cfg))):
-        cols = [row.value, row.exact.value]
-        if metric == "outage":
-            cols.append(row.asymptotic.value if row.asymptotic else None)
+        cols = [row.value, row.exact.value] + ([row.asymptotic.value] if metric == "outage" else [])
         rows.append(cols + ([row.mc.value, row.mc.std_error] if row.mc else [None, None]))
         failure = _selfcheck_failure(row) if row.mc is not None else None
         if failure:  # row.exact.method names the analytic value: exact or quadrature

@@ -106,8 +106,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"[{section}]: missing {base} (or {base}_db)")
         # checked here, where the section is known, as SchedulingSpec takes
         # the [uplink] and [downlink] values together
-        if not value > 0:
-            raise ScenarioError(f"[{section}] {base} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ScenarioError(f"[{section}] {base} must be finite and positive, got {value}")
         return value
 
     def require(section, key):

@@ -29,8 +29,8 @@ class SchedulingSpec:
             raise ValueError(
                 f"need 1 <= n_order <= k_total, got N={self.n_order}, K={self.k_total}"
             )
-        if not (self.uplink_mean_snr > 0 and self.downlink_mean_snr > 0):
-            raise ValueError("mean SNRs must be positive")
+        if not (0 < self.uplink_mean_snr < np.inf and 0 < self.downlink_mean_snr < np.inf):
+            raise ValueError("mean SNRs must be finite and positive")
 
 
 def _rayleigh_cdf(g, mean_snr):

@@ -344,7 +344,7 @@ def test_fading_model_invariants():
         with pytest.raises(ValueError):
             AlphaMuParams(*bad)
     for bad in ((2.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (2.0, math.nan, 1.0),
-                (math.nan, 1.0, 1.0)):
+                (math.nan, 1.0, 1.0), (2.0, 1.0, math.inf)):
         with pytest.raises(ValueError, match="alpha, mu must be finite and positive"):
             AlphaMuParams(*bad)
     # past about 2.5e305 SciPy's gammainc(mu, x) is nan and math.lgamma(mu) overflows

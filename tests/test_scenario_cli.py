@@ -142,7 +142,13 @@ def test_invalid_values_reported():
                  id="scheduling-gamma_th_db"),
     pytest.param("[downlink]\nmean_snr = 10", "[downlink]\nmean_snr = -1", "downlink",
                  id="downlink-mean_snr"),
+    pytest.param("[downlink]\nmean_snr = 10", "[downlink]\nmean_snr = inf", "downlink",
+                 id="downlink-mean_snr-inf"),
     pytest.param("a = 1", "a = 0", "modulation", id="modulation-a"),
+    # asep would integrate up to sqrt(40 / b) = inf
+    pytest.param("a = 1\nb = 1", "a = 1\nb = inf", "modulation", id="modulation-b-inf"),
+    pytest.param("a = 1\nb = 1", "a = 1\nb = 1e-308", "modulation",
+                 id="modulation-b-1e-308"),
     pytest.param("trials = 50000", "trials = 10", "mc", id="mc-trials"),
     pytest.param("workers = 2", "workers = 0", "mc", id="mc-workers"),
 ])
@@ -271,6 +277,19 @@ def test_cli_outage_csv(scenario_file, tmp_path, capsys):
     assert out.read_text().endswith("\n")
     # no MC requested: those columns are empty
     assert lines[1].endswith(",,")
+
+
+def test_cli_outage_single_point_asymptote_at_unequal_scales(tmp_path, capsys):
+    # each high-SNR term at its own link's scale: the column is filled
+    path = tmp_path / "unequal.ini"
+    path.write_text(GOOD.split("[mc]")[0].replace("mean_snr = 10", "mean_snr = 40")
+                    .replace("mu = 2\nmean_snr_db = 10", "mu = 2\nmean_snr_db = 13", 1),
+                    encoding="utf-8")
+    system = relaylink.load_scenario(path).system
+    assert len(set(system.all_mean_snrs())) == 3
+    assert cli.main(["outage", str(path)]) == 0
+    _, _, asym, _, _ = capsys.readouterr().out.splitlines()[1].split(",")
+    assert asym == repr(relaylink.asymptotic_outage(system).value)
 
 
 def test_cli_outage_zero_length_sweep(scenario_file, tmp_path):

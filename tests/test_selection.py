@@ -146,6 +146,9 @@ def test_scheduling_spec_validation():
         SchedulingSpec(0, 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         SchedulingSpec(3, 1, -1.0, 1.0)
+    for up, down in ((math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SchedulingSpec(3, 1, up, down)
 
 
 def test_negative_gamma_rejected():
