@@ -11,8 +11,8 @@ from relaylink import (
     McConfig,
     SchedulingSpec,
     SystemConfig,
+    at_snr_db,
     classify_asymptotics,
-    configure,
     sweep,
 )
 
@@ -35,7 +35,7 @@ def main():
         print(f"\n{name}: diversity order {report.diversity_order:g} "
               f"(dominant high-SNR terms: {sorted(report.dominant)})")
         print(f"{'SNR dB':>7} {'exact':>12} {'asymptotic':>12} {'monte carlo':>12}")
-        points = [(db, configure(c, "mean_snr_db", db)) for db in grid]
+        points = [(db, at_snr_db(c, db)) for db in grid]
         for row in sweep(points, mc=mc):
             print(f"{row.value:>7.0f} {row.exact.value:>12.4e} {row.asymptotic.value:>12.4e} "
                   f"{row.mc.value:>12.4e}")

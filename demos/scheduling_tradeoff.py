@@ -10,7 +10,7 @@ from relaylink import (
     AlphaMuParams,
     SchedulingSpec,
     SystemConfig,
-    configure,
+    at_snr_db,
     total_outage,
 )
 
@@ -25,7 +25,7 @@ def config(k, n, alpha, mu, snr=1.0):
 def snr_db_at(c, target, lo=0.0, hi=90.0):
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if total_outage(configure(c, "mean_snr_db", mid)).value > target:
+        if total_outage(at_snr_db(c, mid)).value > target:
             lo = mid
         else:
             hi = mid

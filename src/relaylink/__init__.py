@@ -9,9 +9,8 @@ from .analysis import (
     SystemConfig,
     asep,
     asymptotic_outage,
+    at_snr_db,
     classify_asymptotics,
-    configure,
-    evaluate,
     phase1_outage,
     phase2_outage,
     sweep,
@@ -33,8 +32,8 @@ __all__ = [
     "AlphaMuParams", "AsymptoticReport", "DEFAULT_SEED", "FitDiagnostics",
     "FitResult", "GammaGammaParams", "McConfig", "NonConvergenceError",
     "PerfEstimate", "Scenario", "ScenarioError", "SchedulingSpec", "SweepRow", "SystemConfig",
-    "asep", "asymptotic_outage", "classify_asymptotics", "configure",
-    "evaluate", "fit_alpha_mu", "fit_diagnostics", "load_scenario",
+    "asep", "asymptotic_outage", "at_snr_db", "classify_asymptotics",
+    "fit_alpha_mu", "fit_diagnostics", "load_scenario",
     "phase1_outage", "phase2_outage", "rng_stream", "serialize_scenario",
     "simulate_asep", "simulate_outage", "sweep", "total_outage",
 ]

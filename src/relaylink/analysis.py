@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import selection
-from .channels import AlphaMuParams, alpha_mu_snr_cdf
+from .channels import AlphaMuParams, _store_floats, alpha_mu_snr_cdf
 from .selection import SchedulingSpec
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -44,13 +44,10 @@ class SystemConfig:
 
     def __post_init__(self):
         if not (0 < self.gamma_th < math.inf and 0 < self.mod_a < math.inf and 0 < self.mod_b
-                and 0 < math.sqrt(40.0 / self.mod_b) < math.inf):  # asep's upper limit
+                and 0 < math.sqrt(40.0 / float(self.mod_b)) < math.inf):  # asep's upper limit
             raise ValueError(f"gamma_th, mod_a, sqrt(40 / mod_b) must be finite and positive, "
                              f"got ({self.gamma_th}, {self.mod_a}, {self.mod_b})")
-
-    def all_mean_snrs(self):
-        return (self.scheduling.uplink_mean_snr, self.scheduling.downlink_mean_snr,
-                self.sr_model.mean_snr, self.rs_model.mean_snr)
+        _store_floats(self, "gamma_th", "mod_a", "mod_b")
 
 
 @dataclass(frozen=True)
@@ -199,13 +196,15 @@ def _outage_terms(c: SystemConfig):
 
 
 def _power_term(order, coef, log_coef, lam):
-    """coef * lam^order; where that overflows, exp(log_coef + order log lam)
-    (inf where this does too), and 0 at lam = 0: every order is positive."""
+    """coef * lam^order, or exp(log_coef + order log lam) (inf where that overflows)
+    where the product overflows or lam^order is below the normal floats, whose lost
+    digits a large coef would lift into the product; 0 at lam = 0: orders are positive."""
     try:
-        value = coef * lam ** order
+        power = lam ** order
     except OverflowError:
-        value = math.inf
-    return (value if math.isfinite(value) else 0.0 if not lam
+        power = math.inf
+    value = coef * power
+    return (value if _TINY <= power and math.isfinite(value) else 0.0 if not lam
             else _finite_or_inf(math.exp, log_coef + order * math.log(lam)))
 
 
@@ -240,7 +239,7 @@ def classify_asymptotics(c: SystemConfig) -> AsymptoticReport:
                      for order, coef, log_coef, scale in _outage_terms(c)]
     t2_order = min(order for order, _, _ in hops)
     tied = [(coef, log_coef) for order, coef, log_coef in hops if _ties(order, t2_order)]
-    t2 = (t2_order, sum(coef for coef, _ in tied), logsumexp([lc for _, lc in tied]))
+    t2 = (t2_order, sum(coef for coef, _ in tied), float(logsumexp([lc for _, lc in tied])))
     terms = {"T1": t1, "T2": t2, "T3": t3}
     orders = {t: float(order) for t, (order, _, _) in terms.items()}
     diversity = min(orders.values())
@@ -261,8 +260,8 @@ def _gain(order, coef, log_coef, gamma_th):
 @dataclass(frozen=True)
 class SweepRow:
     """One curve point: exact is the analytic value (the exact outage, or the
-    ASEP by quadrature; its method says which), asymptotic the high-SNR
-    outage of an outage row and None for an ASEP row."""
+    ASEP by quadrature; its method says which), asymptotic the high-SNR outage
+    of an outage row (None for ASEP), mc the Monte-Carlo estimate or None."""
 
     value: float
     exact: PerfEstimate
@@ -270,30 +269,18 @@ class SweepRow:
     mc: PerfEstimate | None
 
 
-def _checked(metric: str) -> str:
+def sweep(points, metric: str = "outage", mc=None):
+    """The curve rows of points, (value, SystemConfig) pairs, in order: an
+    iterator that builds each row as it is read, with the exact outage and its
+    asymptote for metric "outage", the ASEP by quadrature for "asep". mc, an
+    optional McConfig, adds the Monte-Carlo column, computed in full by this
+    call, from as few passes as the points allow (`_mc_column`)."""
     if metric not in ("outage", "asep"):
         raise ValueError(f"metric must be 'outage' or 'asep', got {metric!r}")
-    return metric
-
-
-def evaluate(c: SystemConfig, value, metric: str = "outage") -> SweepRow:
-    """The analytic curve row of c at the swept value: metric "outage" gives
-    the exact outage and its asymptote, at any link scales, "asep" the ASEP by
-    quadrature and no asymptote."""
-    exact, asym = ((total_outage(c), asymptotic_outage(c)) if _checked(metric) == "outage"
-                   else (asep(c), None))
-    return SweepRow(value=float(value), exact=exact, asymptotic=asym, mc=None)
-
-
-def sweep(points, metric: str = "outage", mc=None):
-    """The curve rows of points, (value, SystemConfig) pairs: an iterator
-    that evaluate()s each row as it is read. mc, an optional McConfig, adds
-    the Monte-Carlo column, which is computed in full by this call, from as
-    few passes as the points allow (`_mc_column`)."""
-    _checked(metric)
     points = list(points)
     column = [None] * len(points) if mc is None else _mc_column(points, metric, mc)
-    return (dataclasses.replace(evaluate(c, value, metric), mc=est)
+    return (SweepRow(float(value), *((total_outage(c), asymptotic_outage(c))
+                                     if metric == "outage" else (asep(c), None)), est)
             for (value, c), est in zip(points, column))
 
 
@@ -307,8 +294,9 @@ def _mc_column(points, metric: str, mc) -> list[PerfEstimate]:
     for i, (_, c) in enumerate(points):
         if metric == "outage":
             groups.setdefault((c.scheduling.k_total, c.scheduling.n_order), []).append((i, c))
-        elif len(set(snrs := c.all_mean_snrs())) == 1:  # at unit scale, scale snrs[0]
-            groups.setdefault(configure(c, "mean_snr_db", 0.0), []).append((i, snrs[0]))
+        elif (snr := c.scheduling.uplink_mean_snr) == c.scheduling.downlink_mean_snr \
+                == c.sr_model.mean_snr == c.rs_model.mean_snr:  # at unit scale, scale snr
+            groups.setdefault(at_snr_db(c, 0.0), []).append((i, snr))
         else:
             groups.setdefault(c, []).append((i, 1.0))
     column = [None] * len(points)
@@ -328,24 +316,13 @@ def db_to_linear(x_db: float) -> float:
         raise ValueError(f"{float(x_db)!r} dB is too large for a float") from None
 
 
-def configure(c: SystemConfig, variable: str, value) -> SystemConfig:
-    """c with one sweep variable set to value: mean_snr_db sets all four link
-    averages (i.i.d. equal-power assumption), K / N the scheduling, or
-    gamma_th the outage threshold."""
-    if variable == "mean_snr_db":
-        snr = db_to_linear(value)
-        sched = dataclasses.replace(c.scheduling, uplink_mean_snr=snr,
-                                    downlink_mean_snr=snr)
-        return dataclasses.replace(
-            c, scheduling=sched,
-            sr_model=dataclasses.replace(c.sr_model, mean_snr=snr),
-            rs_model=dataclasses.replace(c.rs_model, mean_snr=snr))
-    if variable in ("K", "N"):
-        if not float(value).is_integer():
-            raise ValueError(f"{variable} must be an integer, got {value!r}")
-        field = "k_total" if variable == "K" else "n_order"
-        return dataclasses.replace(
-            c, scheduling=dataclasses.replace(c.scheduling, **{field: int(value)}))
-    if variable == "gamma_th":
-        return dataclasses.replace(c, gamma_th=float(value))
-    raise ValueError(f"variable must be mean_snr_db, K, N or gamma_th, got {variable!r}")
+def at_snr_db(c: SystemConfig, snr_db) -> SystemConfig:
+    """c with all four link scales at snr_db dB (i.i.d. equal-power assumption);
+    a K, N or gamma_th sweep point is a dataclasses.replace of c."""
+    snr = db_to_linear(snr_db)
+    sched = dataclasses.replace(c.scheduling, uplink_mean_snr=snr,
+                                downlink_mean_snr=snr)
+    return dataclasses.replace(
+        c, scheduling=sched,
+        sr_model=dataclasses.replace(c.sr_model, mean_snr=snr),
+        rs_model=dataclasses.replace(c.rs_model, mean_snr=snr))

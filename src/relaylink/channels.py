@@ -29,6 +29,12 @@ _DE2 = 2.0 * _E * _DE / (1.0 + _E * _E) ** 2
 _EXP_TAIL = 1.0 / np.cumprod(np.arange(1.0, 19.0))[:0:-1]  # 1/18!, ..., 1/2!
 
 
+def _store_floats(obj, *names):
+    """Set obj's named fields to Python floats: their powers raise OverflowError, NumPy's warn."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class AlphaMuParams:
     """alpha-mu faded link at SNR level.
@@ -50,6 +56,9 @@ class AlphaMuParams:
                              f"got ({self.alpha}, {self.mu}, {self.mean_snr})")
         if self.mu > 1e300:
             raise ValueError(f"mu must be at most 1e300, got {self.mu}")
+        _store_floats(self, "alpha", "mu", "mean_snr")
+        if self.alpha * self.mu / 2.0 == 0.0:  # the order of the hop's high-SNR term
+            raise ValueError(f"alpha * mu / 2 underflows to 0.0 at ({self.alpha}, {self.mu})")
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,7 @@ def cmd_curve(args) -> int:
         # single point at the scenario's own (possibly unequal) link SNRs
         points = [(linear_to_db(sc.system.scheduling.uplink_mean_snr), sc.system)]
     else:
-        points = [(db, analysis.configure(sc.system, "mean_snr_db", db))
+        points = [(db, analysis.at_snr_db(sc.system, db))
                   for db in _parse_snr_sweep(args.sweep_snr)]
     rows, failures = [], []
     for i, ((db, _), row) in enumerate(zip(points, analysis.sweep(points, metric, mc_cfg))):

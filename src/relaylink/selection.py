@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .channels import _nonneg, _result
+from .channels import _nonneg, _result, _store_floats
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class SchedulingSpec:
             )
         if not (0 < self.uplink_mean_snr < np.inf and 0 < self.downlink_mean_snr < np.inf):
             raise ValueError("mean SNRs must be finite and positive")
+        _store_floats(self, "uplink_mean_snr", "downlink_mean_snr")
 
 
 def _rayleigh_cdf(g, mean_snr):

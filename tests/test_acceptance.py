@@ -43,10 +43,6 @@ def config(k, n, alpha, mu, snr=1.0, gamma_th=1.0):
                         gamma_th=gamma_th)
 
 
-def at_db(c, db):
-    return analysis.configure(c, "mean_snr_db", db)
-
-
 # The six outage configs used by criteria 2 and 5: the three backup-RF fading
 # laws at K=3 with best and worst selection, and two optical-hop alpha-mu
 # points, one with alpha*mu/2 > 1 and one below. Neither is a moment fit of
@@ -182,7 +178,7 @@ def test_criterion_2_outage_vs_monte_carlo():
     checked = 0
     for name, base in OUTAGE_CONFIGS:
         points = [(db, c) for db in np.arange(5.0, 41.0, 5.0)
-                  if total_outage(c := at_db(base, db)).value >= 1e-5]
+                  if total_outage(c := analysis.at_snr_db(base, db)).value >= 1e-5]
         rows = list(analysis.sweep(points, "outage", mc))
         if [row.mc.value for row in rows] != [h / mc.trials for h in CRITERION_2_HITS[name]]:
             failures.append(f"{name}: the sweep's MC column differs from the recorded hits")
@@ -207,7 +203,7 @@ def test_criterion_3_degenerate_closed_form():
     base = config(1, 1, 2.0, 1.0)
     worst = 0.0
     for db in np.arange(0.0, 60.1, 2.0):
-        c = at_db(base, db)
+        c = analysis.at_snr_db(base, db)
         gbar = 10.0 ** (db / 10.0)
         expect = -math.expm1(-4.0 * c.gamma_th / gbar)
         worst = max(worst, abs(total_outage(c).value - expect))
@@ -236,7 +232,7 @@ def test_criterion_4_asep_cross_validation():
     )
     failures = []
     for name, base in cases:
-        c = at_db(base, 10.0)
+        c = analysis.at_snr_db(base, 10.0)
         quad = asep(c).value
         if quad < 1e-5:
             continue
@@ -273,9 +269,9 @@ def test_criterion_5_diversity_order_slopes():
     failures = []
     details = []
     for name, base in OUTAGE_CONFIGS:
-        rep = classify_asymptotics(at_db(base, 0.0))
+        rep = classify_asymptotics(analysis.at_snr_db(base, 0.0))
         dbs = np.arange(50.0, 60.1, 1.0)  # top decade
-        logs = np.log10([total_outage(at_db(base, db)).value for db in dbs])
+        logs = np.log10([total_outage(analysis.at_snr_db(base, db)).value for db in dbs])
         slope = -np.polyfit(dbs / 10.0, logs, 1)[0]
         rel = abs(slope - rep.diversity_order) / rep.diversity_order
         details.append(f"{name}: {slope:.4f} vs {rep.diversity_order:.4f}")
@@ -290,7 +286,7 @@ def test_criterion_5_diversity_order_slopes():
 # ------------------------------------------------------------ criterion 6
 
 def _snr_db_at_outage(base, target, lo=0.0, hi=90.0):
-    f = lambda db: total_outage(at_db(base, db)).value - target
+    f = lambda db: total_outage(analysis.at_snr_db(base, db)).value - target
     assert f(lo) > 0 > f(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -109,7 +109,7 @@ def test_total_outage_two_assembly_paths_agree():
 
 def test_total_outage_monotone_in_snr_and_threshold():
     base = config(k=3, n=2, alpha=2.0, mu=2.0, snr=1.0)
-    vals = [total_outage(analysis.configure(base, "mean_snr_db", db)).value
+    vals = [total_outage(analysis.at_snr_db(base, db)).value
             for db in np.linspace(0.0, 40.0, 30)]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
     vals_th = [total_outage(dataclasses.replace(base, gamma_th=g)).value
@@ -196,7 +196,7 @@ def test_asep_high_snr_matches_quadpack(db):
     configs["severe (b) QPSK"] = dataclasses.replace(configs["severe (b)"], mod_a=2.0,
                                                      mod_b=0.5)
     for name, system in configs.items():
-        c = analysis.configure(system, "mean_snr_db", db)
+        c = analysis.at_snr_db(system, db)
         assert asep(c).value == pytest.approx(asep_quad(c), rel=1e-8), name
 
 
@@ -212,7 +212,7 @@ def test_asep_matches_recursive_simpson():
 
     for name, system in _scenario_curves():
         for db in range(0, 41, 4):
-            c = analysis.configure(system, "mean_snr_db", db)
+            c = analysis.at_snr_db(system, db)
             a, b = c.mod_a, c.mod_b
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(analysis, "_adaptive_simpson", spy)
@@ -237,7 +237,7 @@ def test_asep_calls_the_core_once_per_level(monkeypatch):
     for name, system in _scenario_curves():
         for db in (0, 20, 40):
             calls.clear()
-            asep(analysis.configure(system, "mean_snr_db", db))
+            asep(analysis.at_snr_db(system, db))
             assert set(calls) == {np.ndarray}, (name, db)
             assert len(calls) <= max_depth + 2, (name, db)
 
@@ -257,7 +257,7 @@ def test_asymptotic_direct_evaluation():
     # an uplink coefficient C(K, N - 1) beyond the float range keeps its
     # term, formed from its log, and a curve row shows it
     wide = config(k=1100, n=550, alpha=2.0, mu=2.0, snr=10.0)
-    assert analysis.evaluate(wide, 10.0).asymptotic == asymptotic_outage(wide)
+    assert next(sweep([(10.0, wide)])).asymptotic == asymptotic_outage(wide)
 
 
 @pytest.mark.parametrize("k,n,alpha,mu,snr", [
@@ -284,9 +284,10 @@ def test_asymptotic_terms_beyond_float_range(k, n, alpha, mu, snr):
             float(log_c + order * mpmath.log(lam)), rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.01, 2.0, 100.0])
+@pytest.mark.parametrize("alpha", [5e-324, 0.01, 2.0, 100.0])
 def test_largest_mu_gives_finite_values(alpha):
-    # mu = 1e300, the largest AlphaMuParams accepts, on both hops
+    # mu = 1e300, the largest AlphaMuParams accepts, on both hops; at the least
+    # alpha the T2 gain divides a log coefficient of about 1e300 by the order 2.5e-24
     c = config(k=3, n=1, alpha=alpha, mu=1e300, snr=10.0)
     report = classify_asymptotics(c)
     assert all(math.isfinite(v) for v in (total_outage(c).value, asymptotic_outage(c).value,
@@ -319,7 +320,7 @@ def test_asymptotic_sums_each_link_at_its_own_scale():
     expect = (2.0 / 100.0) ** 3 + 2.0 * (2.0 / 110.0) ** 2 \
         + 3.0 ** 2 / math.gamma(3.0) * (2.0 / 50.0) ** 1.5 + 2.0 / 400.0
     assert asymptotic_outage(c).value == pytest.approx(expect, rel=1e-14)
-    assert analysis.evaluate(c, 0.0).asymptotic == asymptotic_outage(c)
+    assert next(sweep([(0.0, c)])).asymptotic == asymptotic_outage(c)
 
 
 @functools.cache
@@ -420,7 +421,7 @@ def test_asymptotic_threshold_underflowing_to_zero():
     for mu in (1000.0, 2.0):
         c = config(k=3, n=1, alpha=2.0, mu=mu, snr=1e200, gamma_th=1e-200, mu2=2.0)
         assert asymptotic_outage(c).value == 0.0
-        assert analysis.evaluate(c, 1.0).asymptotic.value == 0.0
+        assert next(sweep([(1.0, c)])).asymptotic.value == 0.0
 
 
 @pytest.mark.parametrize("up,down,sr,rs,gamma_th", [
@@ -443,6 +444,20 @@ def test_classify_gains_at_scale_ratios_beyond_float_range(up, down, sr, rs, gam
                 float(mpmath.log(term)), rel=1e-12), t
 
 
+@pytest.mark.parametrize("sr_scale", [11.5, 11.95])
+def test_classify_gain_from_a_subnormal_scale_power(sr_scale):
+    # the S->R fold (1 / sr_scale)^300 is subnormal, and the coefficient
+    # 300^299 / Gamma(300), about e^300, would lift its lost digits into the
+    # normal range: the T2 gain against mpmath at 50 digits (the R->S hop has
+    # order 400, so the S->R term is T2 alone)
+    c = unequal(up=1.0, down=1.0, sr=(2.0, 300.0, sr_scale), rs=(2.0, 400.0, 1.0))
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(300)
+        term = mu ** (mu - 1) / mpmath.gamma(mu) / mpmath.mpf(sr_scale) ** 300
+        expect = float(term ** (-1 / mu))
+    assert classify_asymptotics(c).coding_gain_terms["T2"] == pytest.approx(expect, rel=1e-12)
+
+
 def test_classify_gain_beyond_float_range_is_inf():
     # the R->S order 5e-7 raises a coefficient below 1 to the power -2e6
     rep = classify_asymptotics(config(alpha=2.0, mu=2.0, alpha2=0.001, mu2=0.001))
@@ -463,15 +478,19 @@ def test_asymptotics_stay_in_range(k, n_at, hops, scales, gamma_th_db):
     # threshold from -50 to 150 dB and each link's scale its own, from -50 to
     # 150 dB or at the ends of the float range: neither function raises (no
     # OverflowError), the asymptote is a probability and each gain is in
-    # [0, inf], the ends for gains beyond the float range
+    # [0, inf], the ends for gains beyond the float range. The same config built
+    # from NumPy scalars gives the same results, and no warning
     a1, m1, a2, m2 = (10.0 ** h for h in hops)
     up, down, sr, rs = scales
-    c = unequal(k=k, n=1 + round(n_at * (k - 1)), up=up, down=down, sr=(a1, m1, sr),
-                rs=(a2, m2, rs), gamma_th=analysis.db_to_linear(gamma_th_db))
+    c, c_np = (unequal(k=k, n=1 + round(n_at * (k - 1)), up=f(up), down=f(down),
+                       sr=(f(a1), f(m1), f(sr)), rs=(f(a2), f(m2), f(rs)),
+                       gamma_th=f(analysis.db_to_linear(gamma_th_db)))
+               for f in (float, np.float64))
     assert 0.0 <= asymptotic_outage(c).value <= 1.0
     rep = classify_asymptotics(c)
     assert rep.diversity_order > 0.0
     assert all(0.0 <= g <= math.inf for g in rep.coding_gain_terms.values())
+    assert (asymptotic_outage(c_np), classify_asymptotics(c_np)) == (asymptotic_outage(c), rep)
 
 
 def test_classify_reads_both_hops():
@@ -481,7 +500,7 @@ def test_classify_reads_both_hops():
     assert rep.diversity_order == pytest.approx(0.25)
     assert rep.dominant == frozenset({"T2"})
     # the exact outage falls with that slope at high SNR
-    lo, hi = (total_outage(analysis.configure(c, "mean_snr_db", db)).value
+    lo, hi = (total_outage(analysis.at_snr_db(c, db)).value
               for db in (80.0, 100.0))
     assert -math.log10(hi / lo) / 2.0 == pytest.approx(0.25, abs=1e-3)
     # and the gain reproduces the R->S term alone
@@ -529,7 +548,7 @@ def test_core_emits_no_warnings():
         warnings.simplefilter("error")
         for name, system in _scenario_curves():
             for db in range(0, 41, 2):
-                c = analysis.configure(system, "mean_snr_db", db)
+                c = analysis.at_snr_db(system, db)
                 total_outage(c)
                 # gamma = 0 and the far tails of every link
                 analysis._total_outage_value(c, np.array([0.0, 5e-324, 1e-300, 1e300]))
@@ -538,9 +557,20 @@ def test_core_emits_no_warnings():
 
 # ---------------------------------------------------------------- sweep
 
+def point(base, variable, g):
+    """base with one sweep variable at g: mean_snr_db by at_snr_db, K, N and
+    gamma_th by dataclasses.replace, as the CLI's ksweep builds its points."""
+    if variable == "mean_snr_db":
+        return analysis.at_snr_db(base, g)
+    if variable == "gamma_th":
+        return dataclasses.replace(base, gamma_th=g)
+    field = {"K": "k_total", "N": "n_order"}[variable]
+    return dataclasses.replace(base, scheduling=dataclasses.replace(base.scheduling, **{field: g}))
+
+
 def points(base, variable, grid):
     """The (value, config) pairs of a one-variable sweep of base."""
-    return [(g, analysis.configure(base, variable, g)) for g in grid]
+    return [(g, point(base, variable, g)) for g in grid]
 
 
 def test_sweep_snr_monotone_and_asymptotic_column():
@@ -582,24 +612,11 @@ def test_sweep_with_mc_column():
         assert abs(r.mc.value - r.exact.value) < 5.0 * r.mc.std_error
 
 
-def test_sweep_rejects_unknown_variable():
-    # configure holds the one dispatch on the swept variable
-    with pytest.raises(ValueError, match="variable"):
-        sweep(points(config(**ALL_EXP), "bandwidth", [1, 2]))
-
-
-def test_configure_and_evaluate_reject_bad_input():
+def test_at_snr_db_and_sweep_reject_bad_input():
     c = config(**ALL_EXP)
-    with pytest.raises(ValueError, match="variable"):
-        analysis.configure(c, "bandwidth", 2.0)
     for db in (4000.0, np.float64(4000.0)):
         with pytest.raises(ValueError, match="^4000.0 dB"):
-            analysis.configure(c, "mean_snr_db", db)
-    with pytest.raises(ValueError, match="metric"):
-        analysis.evaluate(c, 0.0, "capacity")
-    for variable, value in (("K", 2.7), ("N", 1.9)):  # not truncated to 2 and 1
-        with pytest.raises(ValueError, match=f"^{variable} must be an integer"):
-            analysis.configure(c, variable, value)
+            analysis.at_snr_db(c, db)
     with pytest.raises(ValueError, match="metric"):  # at the call, before any row is read
         sweep(points(c, "mean_snr_db", [0.0]), metric="capacity")
 
@@ -610,13 +627,13 @@ def test_sweep_asep_equals_per_point_asep_bit_for_bit():
     rows = list(sweep(points(base, "mean_snr_db", grid), metric="asep"))
     assert [r.value for r in rows] == grid
     for db, row in zip(grid, rows):
-        expected = asep(analysis.configure(base, "mean_snr_db", db))
+        expected = asep(analysis.at_snr_db(base, db))
         assert row.exact == expected and row.exact.method == "quadrature"
         assert row.asymptotic is None and row.mc is None
     base = config(k=4, n=1, alpha=2.0, mu=1.5, snr=10.0)
     rows = list(sweep(points(base, "K", range(1, 5)), metric="asep"))
     assert [r.exact.value for r in rows] == [
-        asep(analysis.configure(base, "K", k)).value for k in range(1, 5)]
+        asep(point(base, "K", k)).value for k in range(1, 5)]
 
 
 def scaled(c, up, down, sr, rs):
@@ -637,7 +654,7 @@ _UNEQUAL_HOPS = config(k=3, n=2, alpha=0.5803, mu=2.703, alpha2=2.0, mu2=2.0)
 _NAKAGAMI = config(k=3, n=2, alpha=2.0, mu=2.0)
 # outage points of three K values, interleaved, at equal and unequal scales
 MIXED_K = list(enumerate([
-    analysis.configure(_UNEQUAL_HOPS, "mean_snr_db", 5.0),
+    analysis.at_snr_db(_UNEQUAL_HOPS, 5.0),
     config(k=1, n=1, alpha=2.0, mu=2.0, snr=0.5),
     config(k=3, n=1, alpha=2.0, mu=2.0, snr=3.0, gamma_th=0.4),
     scaled(config(k=4, n=4, alpha=1.68, mu=1.85, alpha2=0.5007, mu2=40.62),
@@ -648,11 +665,11 @@ MIXED_K = list(enumerate([
 # ASEP points of two unit-scale configs at equal scales, interleaved with
 # points of each at unequal scales
 MIXED_SCALES = list(enumerate([
-    analysis.configure(_NAKAGAMI, "mean_snr_db", 0.0),
-    analysis.configure(_UNEQUAL_HOPS, "mean_snr_db", 10.0),
+    analysis.at_snr_db(_NAKAGAMI, 0.0),
+    analysis.at_snr_db(_UNEQUAL_HOPS, 10.0),
     scaled(_NAKAGAMI, 3.0, 3.0, 5.0, 3.0),
-    analysis.configure(_NAKAGAMI, "mean_snr_db", 7.5),
-    analysis.configure(_UNEQUAL_HOPS, "mean_snr_db", -2.0),
+    analysis.at_snr_db(_NAKAGAMI, 7.5),
+    analysis.at_snr_db(_UNEQUAL_HOPS, -2.0),
     scaled(_UNEQUAL_HOPS, 1.0, 2.0, 3.0, 4.0),
     _NAKAGAMI,
 ]))
@@ -686,7 +703,7 @@ def test_sweep_mc_equals_per_point_bit_for_bit(base, variable, grid, metric, mon
         assert (analysis._mc_column(pts, metric, mc)
                 == [simulate(c, mc) for _, c in pts])
     # whole rows
-    expected = [dataclasses.replace(analysis.evaluate(c, v, metric), mc=simulate(c, mc))
+    expected = [dataclasses.replace(next(sweep([(v, c)], metric)), mc=simulate(c, mc))
                 for v, c in pts]
     assert list(sweep(pts, metric, mc)) == expected
 

@@ -12,7 +12,7 @@ from scipy.special import gammainc
 from scipy.stats import ks_2samp, kstest
 
 from relaylink import mcsim
-from relaylink.analysis import SystemConfig, asep, configure, sweep, total_outage
+from relaylink.analysis import SystemConfig, asep, at_snr_db, sweep, total_outage
 from relaylink.channels import AlphaMuParams, GammaGammaParams, alpha_mu_snr_cdf
 from relaylink.ggfit import fit_alpha_mu
 from relaylink.mcsim import DEFAULT_SEED, McConfig, rng_stream, simulate_asep, simulate_outage
@@ -305,7 +305,7 @@ def test_end_to_end_snr_scales_with_the_link_scales(k, data, sr, rs, snr_db, see
     unit = SystemConfig(scheduling=SchedulingSpec(k, n, 1.0, 1.0),
                         sr_model=AlphaMuParams(*sr, 1.0),
                         rs_model=AlphaMuParams(*rs, 1.0), gamma_th=1.0)
-    scaled = configure(unit, "mean_snr_db", snr_db)
+    scaled = at_snr_db(unit, snr_db)
     s = scaled.sr_model.mean_snr
     g1 = mcsim._end_to_end_snr(unit, rng_stream(seed, 0), 3_001)
     assert np.array_equal(mcsim._end_to_end_snr(scaled, rng_stream(seed, 0), 3_001),
@@ -473,7 +473,7 @@ def test_pinned_streams(name, hits, mean, std_error):
 
 
 def snr_points(c):
-    return [(db, configure(c, "mean_snr_db", db)) for db in range(0, 32, 2)]  # 16 points
+    return [(db, at_snr_db(c, db)) for db in range(0, 32, 2)]  # 16 points
 
 
 def outage_sweep(c, m):

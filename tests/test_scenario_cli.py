@@ -137,6 +137,9 @@ def test_invalid_values_reported():
                  "sr_link", id="sr_link-mu-above-1e300"),
     pytest.param("[rs_link]\nalpha = 2\nmu = 2", "[rs_link]\nalpha = 2\nmu = 1.7e308",
                  "rs_link", id="rs_link-mu-above-1e300"),
+    # the hop's order alpha * mu / 2 underflows to 0
+    pytest.param("[sr_link]\nalpha = 2\nmu = 2", "[sr_link]\nalpha = 1e-200\nmu = 1e-200",
+                 "sr_link", id="sr_link-order-underflow"),
     pytest.param("n_order = 2", "n_order = 9", "scheduling", id="scheduling-n_order"),
     pytest.param("gamma_th_db = 0", "gamma_th_db = 5000", "scheduling",
                  id="scheduling-gamma_th_db"),
@@ -286,7 +289,8 @@ def test_cli_outage_single_point_asymptote_at_unequal_scales(tmp_path, capsys):
                     .replace("mu = 2\nmean_snr_db = 10", "mu = 2\nmean_snr_db = 13", 1),
                     encoding="utf-8")
     system = relaylink.load_scenario(path).system
-    assert len(set(system.all_mean_snrs())) == 3
+    assert len({system.scheduling.uplink_mean_snr, system.scheduling.downlink_mean_snr,
+                system.sr_model.mean_snr, system.rs_model.mean_snr}) == 3
     assert cli.main(["outage", str(path)]) == 0
     _, _, asym, _, _ = capsys.readouterr().out.splitlines()[1].split(",")
     assert asym == repr(relaylink.asymptotic_outage(system).value)

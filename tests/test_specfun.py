@@ -3,8 +3,7 @@ oracle: the regularized incomplete gamma P(a, x) behind the alpha-mu CDF,
 its inverse `scipy.special.gammaincinv` behind the hop inverse of the
 Monte-Carlo test oracles (`oracles.hop_inverse`), which must be within 1e-14
 relative of an mpmath quantile, the lower incomplete gamma (Meijer-G)
-kernel, SciPy's Gauss-Hermite rule against NumPy's, and the adaptive
-Simpson rule of `asep`."""
+kernel, and the adaptive Simpson rule of `asep`."""
 
 import math
 import warnings
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from oracles import (alpha_mu_envelope_cdf, hop_inverse, lower_gamma,
                      mellin_barnes_lower_gamma)
-from scipy.special import gammaincinv, roots_hermite
+from scipy.special import gammaincinv
 
 from relaylink import analysis
 from relaylink.channels import AlphaMuParams
@@ -164,45 +163,6 @@ def test_meijer_g_kernel_domain():
         lower_gamma(-0.1, 1.0)
     with pytest.raises(ValueError):
         lower_gamma(1.0, 0.0)
-
-
-# ------------------------------------------------------- Hermite rule
-
-def test_hermite_rule_two_points():
-    nodes, weights = roots_hermite(2)
-    assert nodes == pytest.approx([-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
-                                  abs=1e-14)
-    assert weights == pytest.approx([SQRT_PI / 2.0, SQRT_PI / 2.0], abs=1e-14)
-
-
-@pytest.mark.parametrize("n", [2, 16, 64, 128, 255, 256])
-def test_hermite_weight_sum(n):
-    _, weights = roots_hermite(n)
-    assert math.fsum(weights) == pytest.approx(SQRT_PI, abs=1e-12)
-
-
-def test_hermite_second_moment_n64():
-    nodes, weights = roots_hermite(64)
-    val = float(np.dot(weights, nodes ** 2))
-    assert val == pytest.approx(SQRT_PI / 2.0, abs=1e-12)
-
-
-def test_hermite_polynomial_exactness_n16():
-    # integral of u^k e^{-u^2}: 0 for odd k, Gamma((k+1)/2) for even k
-    nodes, weights = roots_hermite(16)
-    for k in range(9):
-        got = float(np.dot(weights, nodes ** k))
-        expect = 0.0 if k % 2 else math.gamma((k + 1) / 2.0)
-        assert got == pytest.approx(expect, abs=1e-10)
-
-
-@pytest.mark.parametrize("n", [16, 64, 128])
-def test_hermite_vs_numpy(n):
-    from numpy.polynomial.hermite import hermgauss
-    nodes, weights = roots_hermite(n)
-    xs, ws = hermgauss(n)
-    assert np.max(np.abs(nodes - xs)) < 1e-12
-    assert np.max(np.abs(weights - ws) / ws) < 1e-10
 
 
 # --------------------------------------------------- adaptive Simpson

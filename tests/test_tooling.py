@@ -1,11 +1,12 @@
-"""Checks on the shape of the library source, by static analysis, and on what
-importing it loads."""
+"""Checks on the shape of the library source, by static analysis, on what
+importing it loads, and on the API names the README cites."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,7 +99,18 @@ def test_cli_reaches_the_core_only_through_sweep():
                                                                     "McConfig"}
     assert {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "analysis"} == {"configure", "sweep"}
+            and node.value.id == "analysis"} == {"at_snr_db", "sweep"}
+
+
+def test_readme_calls_name_exported_functions():
+    # every `name(` in the README's prose is a relaylink export or one of the
+    # SciPy, NumPy and math functions it cites, so no removed or renamed entry
+    # point stays in the docs
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    cited = {"gammainc", "betainc", "log", "SeedSequence", "math.lgamma"}
+    called = set(re.findall(r"`([A-Za-z_][\w.]*)\(", prose))
+    assert sorted(called - cited - set(relaylink.__all__)) == []
 
 
 def test_one_thread_fan_out_and_no_reduce_callback():
