@@ -205,6 +205,7 @@ def _power_term(order, coef, log_coef, lam):
         power = math.inf
     value = coef * power
     return (value if _TINY <= power and math.isfinite(value) else 0.0 if not lam
+            else coef if lam == 1.0  # where order log lam would be inf * 0
             else _finite_or_inf(math.exp, log_coef + order * math.log(lam)))
 
 

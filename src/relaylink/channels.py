@@ -96,7 +96,9 @@ def alpha_mu_snr_cdf(p: AlphaMuParams, gamma):
     """P(mu, mu * (gamma/mean_snr)^(alpha/2)) for a float or an array gamma."""
     g = _nonneg("gamma", gamma)
     with np.errstate(over="ignore"):  # an infinite argument gives P = 1
-        return _result(gammainc(p.mu, p.mu * np.power(g / p.mean_snr, p.alpha / 2.0)), g)
+        cdf = gammainc(p.mu, p.mu * np.power(g / p.mean_snr, p.alpha / 2.0))
+    # capped at 1: gammainc(1e-160, 1e-160) is 1.0000000000000002
+    return np.minimum(cdf, 1.0) if isinstance(g, np.ndarray) else min(float(cdf), 1.0)
 
 
 def gamma_gamma_cdf(p: GammaGammaParams, x):

@@ -16,7 +16,8 @@ that is empty, non-finite, over SWEEP_MAX_POINTS or has coinciding points, and
 a dB value too large for a float), 2 solver failure (a fit that does not
 converge), 3 self-check failure (Monte-Carlo, or a fit's KS distance over
 FIT_KS_LIMIT). The Monte-Carlo seed is --seed, else the
-RELAYLINK_SEED environment variable, else a fixed default; fit ignores both.
+RELAYLINK_SEED environment variable, else the scenario's [mc] seed, else a
+fixed default; fit ignores the first two.
 """
 
 from __future__ import annotations
@@ -96,30 +97,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(flag_value):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("RELAYLINK_SEED")
-    if env is not None:
+def _mc_config(args, scenario_mc):
+    """The scenario's [mc] fields, with --mc, --seed (else RELAYLINK_SEED) and
+    --workers over them by name; None if neither asks for Monte Carlo."""
+    seed, env = args.seed, os.environ.get("RELAYLINK_SEED")
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ScenarioError(f"RELAYLINK_SEED must be an integer, got {env!r}") from exc
-    return None  # fall through to scenario-file seed, then DEFAULT_SEED
-
-
-def _mc_config(args, scenario_mc):
-    """Merge the scenario [mc] section with command-line overrides."""
-    seed = _resolve_seed(args.seed)
+    flags = {"trials": args.mc, "seed": seed, "workers": args.workers}
     if args.mc is None and scenario_mc is None:
         return None
-    base = scenario_mc if scenario_mc is not None else McConfig(trials=args.mc)
-    return dataclasses.replace(
-        base,
-        trials=args.mc if args.mc is not None else base.trials,
-        seed=seed if seed is not None else base.seed,
-        workers=args.workers if args.workers is not None else base.workers,
-    )
+    return McConfig(**{**(vars(scenario_mc) if scenario_mc else {}),
+                       **{name: x for name, x in flags.items() if x is not None}})
 
 
 def _parse_snr_sweep(spec: str):

@@ -27,6 +27,7 @@ _W = np.array([[-2.0, 1.0, 0.0], [3.0, -3.0, 1.0]])  # D = _W (L(h), L(2h), L(3h
 _J = np.arange(2.0, 40.0)
 _C = _W @ np.arange(1.0, 4.0)[:, None] ** _J * (-1.0) ** _J / _J  # c_j (j-1)! (-1)^j
 _C4 = (4.0 ** _J - 4.0) * (-1.0) ** _J / _J  # the same for log r4 = L(4h) - 4 L(h)
+_L = (-1.0) ** _J / _J  # the same for L(h) itself
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,19 @@ def _residual(x, target):
         dg, d = psi(m + k), _W @ np.log(poch(m, k))
         jac = np.column_stack([-_W @ (k * dg), m * _W @ (dg - psi(m))])
     return d / target - 1.0, jac / target[:, None]
+
+
+def _rho_bar(alpha, mu):
+    """rho_bar from E[X] = Gamma(mu + h) / (mu^h Gamma(mu) rho_bar) = E[I] = 1, h = 1/alpha:
+    log rho_bar = L(h) - h log mu, split as in _residual. Where 12 h <= mu it is h (psi(mu) -
+    log mu) + sum_j _L_j zeta(j, mu) h^j, finite where mu^h overflows; below, it comes from
+    poch. nan where the moment leaves the float range."""
+    h = 1.0 / alpha
+    try:
+        return math.exp(h * (psi(mu) - math.log(mu)) + float((_L * h ** _J) @ zeta(_J, mu))
+                        if 12.0 * h <= mu else math.log(poch(mu, h)) - h * math.log(mu))
+    except (ArithmeticError, ValueError):
+        return math.nan
 
 
 def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
@@ -102,11 +116,7 @@ def fit_alpha_mu(p: GammaGammaParams) -> FitResult:
             iters += 1
         alpha, mu = (float(v) for v in np.exp(x))
         residual_norm = float(np.max(np.abs(f)))  # nan if either is nan
-
-    try:  # E[X] = Gamma(mu + 1/alpha) / (mu^(1/alpha) Gamma(mu) rho_bar) = E[I] = 1, by poch
-        rho_bar = math.exp(math.log(poch(mu, 1 / alpha)) - (1 / alpha) * math.log(mu))
-    except (ArithmeticError, ValueError):  # the moment leaves the float range
-        rho_bar = math.nan
+        rho_bar = _rho_bar(alpha, mu)
     failed = [f"{name} {v} is not finite" for name, v in
               (("alpha", alpha), ("mu", mu), ("rho_bar", rho_bar)) if not math.isfinite(v)]
     if not residual_norm <= TOL:  # nan included

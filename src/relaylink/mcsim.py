@@ -38,6 +38,8 @@ class McConfig:
             raise ValueError(f"trials must be an integer >= 1000, got {self.trials}")
         if not (isinstance(self.workers, int) and self.workers >= 1):
             raise ValueError(f"workers must be a positive integer, got {self.workers}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):  # as SeedSequence takes it
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:

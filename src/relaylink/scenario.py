@@ -1,15 +1,10 @@
 """INI scenario files: parsing, validation and canonical serialization.
 
-Sections and keys (dB variants carry a _db suffix and are converted with
-10^(x/10); giving both forms of the same quantity is an error):
-
-    [scheduling]  k_total, n_order, gamma_th | gamma_th_db
-    [uplink]      mean_snr | mean_snr_db
-    [downlink]    mean_snr | mean_snr_db
-    [sr_link]     alpha, mu, mean_snr | mean_snr_db
-    [rs_link]     alpha, mu, mean_snr | mean_snr_db
-    [modulation]  a, b                      (optional, defaults 1, 1)
-    [mc]          trials, seed, workers     (optional)
+`_FIELDS` is the format, stated once: each section's keys with their kinds, in
+the order `serialize_scenario` writes them. An SNR kind may also be given in dB
+as key_db, converted with 10^(x/10); giving both forms is an error.
+[modulation] (defaults a = b = 1) and [mc] may be left out, as may the keys
+`_OPTIONAL` names, which then take their class's default.
 
 Parsing is fail-closed: unknown sections or keys raise ScenarioError rather
 than being ignored.
@@ -27,6 +22,18 @@ from .channels import AlphaMuParams
 from .mcsim import McConfig
 from .selection import SchedulingSpec
 
+_SNR = "snr"  # a positive float, given as key, or as key_db in dB
+_FIELDS = {
+    "scheduling": {"k_total": int, "n_order": int, "gamma_th": _SNR},
+    "uplink": {"mean_snr": _SNR},
+    "downlink": {"mean_snr": _SNR},
+    "sr_link": {"alpha": float, "mu": float, "mean_snr": _SNR},
+    "rs_link": {"alpha": float, "mu": float, "mean_snr": _SNR},
+    "modulation": {"a": float, "b": float},
+    "mc": {"trials": int, "seed": int, "workers": int},
+}
+_OPTIONAL = {"modulation": {"a", "b"}, "mc": {"seed", "workers"}}  # sections, their keys
+
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario file."""
@@ -38,22 +45,47 @@ class Scenario:
     mc: McConfig | None = None
 
 
-_SCHEMA = {
-    "scheduling": {"k_total", "n_order", "gamma_th", "gamma_th_db"},
-    "uplink": {"mean_snr", "mean_snr_db"},
-    "downlink": {"mean_snr", "mean_snr_db"},
-    "sr_link": {"alpha", "mu", "mean_snr", "mean_snr_db"},
-    "rs_link": {"alpha", "mu", "mean_snr", "mean_snr_db"},
-    "modulation": {"a", "b"},
-    "mc": {"trials", "seed", "workers"},
-}
-_REQUIRED_SECTIONS = ("scheduling", "uplink", "downlink", "sr_link", "rs_link")
-
-
 def linear_to_db(x: float) -> float:
     if x <= 0:
         raise ValueError(f"cannot express nonpositive value {x} in dB")
     return 10.0 * math.log10(x)
+
+
+def _checked(section, make, *args, **kwargs):
+    """make(...), with section named in front of a ValueError it raises."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}] {exc}") from exc
+
+
+def _names(key, kind):
+    """The names key may be given by: key, and key_db for an SNR."""
+    return (key, key + "_db") if kind is _SNR else (key,)
+
+
+def _read(cp, section, key, kind):
+    """The value of key in section, of its kind; None for an optional key left out."""
+    names = [name for name in _names(key, kind) if cp.has_option(section, name)]
+    if len(names) > 1:
+        raise ScenarioError(f"[{section}]: give {key} or {key}_db, not both")
+    if not names:
+        if key in _OPTIONAL.get(section, ()):
+            return None
+        alt = f" (or {key}_db)" if kind is _SNR else ""
+        raise ScenarioError(f"[{section}]: missing {key}{alt}")
+    try:
+        value = (int if kind is int else float)(cp.get(section, names[0]))
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}] {names[0]}: "
+                            f"{'not an integer' if kind is int else 'not a number'}") from exc
+    if kind is _SNR:
+        value = value if names[0] == key else _checked(section, db_to_linear, value)
+        # checked here, where the section is known, as SchedulingSpec takes
+        # the [uplink] and [downlink] values together
+        if not 0 < value < math.inf:
+            raise ScenarioError(f"[{section}] {key} must be finite and positive, got {value}")
+    return value
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -64,78 +96,27 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"invalid INI syntax: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _FIELDS:
             raise ScenarioError(f"unknown section [{section}]")
+        allowed = {name for key, kind in _FIELDS[section].items() for name in _names(key, kind)}
         for key in cp[section]:
-            if key not in _SCHEMA[section]:
+            if key not in allowed:
                 raise ScenarioError(f"unknown key {key!r} in section [{section}]")
-    for section in _REQUIRED_SECTIONS:
-        if section not in cp:
+    for section in _FIELDS:
+        if section not in cp and section not in _OPTIONAL:
             raise ScenarioError(f"missing required section [{section}]")
 
-    def get_float(section, key):
-        try:
-            return cp.getfloat(section, key)
-        except ValueError as exc:
-            raise ScenarioError(f"[{section}] {key}: not a number") from exc
-
-    def get_int(section, key):
-        try:
-            return cp.getint(section, key)
-        except ValueError as exc:
-            raise ScenarioError(f"[{section}] {key}: not an integer") from exc
-
-    def checked(section, make, *args, **kwargs):
-        # make(...), with section named in front of a ValueError it raises
-        try:
-            return make(*args, **kwargs)
-        except ValueError as exc:
-            raise ScenarioError(f"[{section}] {exc}") from exc
-
-    def get_linear(section, base):
-        has_lin = cp.has_option(section, base)
-        has_db = cp.has_option(section, base + "_db")
-        if has_lin and has_db:
-            raise ScenarioError(
-                f"[{section}]: give {base} or {base}_db, not both")
-        if has_lin:
-            value = get_float(section, base)
-        elif has_db:
-            value = checked(section, db_to_linear, get_float(section, base + "_db"))
-        else:
-            raise ScenarioError(f"[{section}]: missing {base} (or {base}_db)")
-        # checked here, where the section is known, as SchedulingSpec takes
-        # the [uplink] and [downlink] values together
-        if not 0 < value < math.inf:
-            raise ScenarioError(f"[{section}] {base} must be finite and positive, got {value}")
-        return value
-
-    def require(section, key):
-        if not cp.has_option(section, key):
-            raise ScenarioError(f"[{section}]: missing {key}")
-
-    for key in ("k_total", "n_order"):
-        require("scheduling", key)
-    for link in ("sr_link", "rs_link"):
-        for key in ("alpha", "mu"):
-            require(link, key)
-
-    sched = checked("scheduling", SchedulingSpec,
-                    k_total=get_int("scheduling", "k_total"),
-                    n_order=get_int("scheduling", "n_order"),
-                    uplink_mean_snr=get_linear("uplink", "mean_snr"),
-                    downlink_mean_snr=get_linear("downlink", "mean_snr"))
-    sr, rs = (checked(link, AlphaMuParams, get_float(link, "alpha"), get_float(link, "mu"),
-                      get_linear(link, "mean_snr")) for link in ("sr_link", "rs_link"))
+    v = {section: {key: x for key, kind in keys.items()  # the keys given, or required
+                   if (x := _read(cp, section, key, kind)) is not None}
+         for section, keys in _FIELDS.items() if section in cp}
+    s = v["scheduling"]
+    sched = _checked("scheduling", SchedulingSpec, s["k_total"], s["n_order"],
+                     v["uplink"]["mean_snr"], v["downlink"]["mean_snr"])
+    sr, rs = (_checked(link, AlphaMuParams, **v[link]) for link in ("sr_link", "rs_link"))
     # gamma_th is positive already, so only mod_a or mod_b can fail here
-    modulation = cp["modulation"] if "modulation" in cp else {}
-    system = checked("modulation", SystemConfig, scheduling=sched, sr_model=sr,
-                     rs_model=rs, gamma_th=get_linear("scheduling", "gamma_th"),
-                     **{f"mod_{key}": get_float("modulation", key) for key in modulation})
-    mc = None
-    if "mc" in cp:
-        require("mc", "trials")
-        mc = checked("mc", McConfig, **{key: get_int("mc", key) for key in cp["mc"]})
+    system = _checked("modulation", SystemConfig, sched, sr, rs, s["gamma_th"],
+                      **{f"mod_{key}": x for key, x in v.get("modulation", {}).items()})
+    mc = _checked("mc", McConfig, **v["mc"]) if "mc" in v else None
     return Scenario(system=system, mc=mc)
 
 
@@ -145,25 +126,17 @@ def load_scenario(path) -> Scenario:
 
 
 def serialize_scenario(sc: Scenario) -> str:
-    """Canonical text form: fixed section/key order, linear (non-dB) values
-    via repr, so parse -> serialize -> parse is the identity."""
-    c = sc.system
+    """Canonical text form: the keys of `_FIELDS` in its order, linear (non-dB)
+    values via repr, so parse -> serialize -> parse is the identity."""
+    c, s = sc.system, sc.system.scheduling
+    v = {"scheduling": {"k_total": s.k_total, "n_order": s.n_order, "gamma_th": c.gamma_th},
+         "uplink": {"mean_snr": s.uplink_mean_snr},
+         "downlink": {"mean_snr": s.downlink_mean_snr},
+         "sr_link": vars(c.sr_model), "rs_link": vars(c.rs_model),
+         "modulation": {"a": c.mod_a, "b": c.mod_b}, "mc": sc.mc and vars(sc.mc)}
     cp = configparser.ConfigParser(interpolation=None)
-    cp["scheduling"] = {
-        "k_total": str(c.scheduling.k_total),
-        "n_order": str(c.scheduling.n_order),
-        "gamma_th": repr(c.gamma_th),
-    }
-    cp["uplink"] = {"mean_snr": repr(c.scheduling.uplink_mean_snr)}
-    cp["downlink"] = {"mean_snr": repr(c.scheduling.downlink_mean_snr)}
-    cp["sr_link"] = {"alpha": repr(c.sr_model.alpha), "mu": repr(c.sr_model.mu),
-                     "mean_snr": repr(c.sr_model.mean_snr)}
-    cp["rs_link"] = {"alpha": repr(c.rs_model.alpha), "mu": repr(c.rs_model.mu),
-                     "mean_snr": repr(c.rs_model.mean_snr)}
-    cp["modulation"] = {"a": repr(c.mod_a), "b": repr(c.mod_b)}
-    if sc.mc is not None:
-        cp["mc"] = {"trials": str(sc.mc.trials), "seed": str(sc.mc.seed),
-                    "workers": str(sc.mc.workers)}
+    cp.read_dict({section: {key: repr(v[section][key]) for key in keys}
+                  for section, keys in _FIELDS.items() if v[section]})
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -424,6 +424,17 @@ def test_asymptotic_threshold_underflowing_to_zero():
         assert next(sweep([(1.0, c)])).asymptotic.value == 0.0
 
 
+def test_asymptotic_infinite_order_at_unit_threshold_ratio():
+    # alpha mu / 2 = 5e309 overflows to inf and the hop's coefficient is inf; at
+    # gamma_th / scale = 1, lam^order = 1, so the term is its coefficient, not
+    # exp(log_coef + inf * log 1) = nan, and the asymptote reads 1
+    hop = AlphaMuParams(1e10, 1e300, 1.0)
+    for rs in (hop, AlphaMuParams(2.0, 2.0, 1.0)):
+        c = SystemConfig(SchedulingSpec(3, 1, 1.0, 1.0), hop, rs, gamma_th=1.0)
+        assert asymptotic_outage(c).value == 1.0
+        assert next(sweep([(0.0, c)])).asymptotic.value == 1.0
+
+
 @pytest.mark.parametrize("up,down,sr,rs,gamma_th", [
     (1e-200, 1.0, 1e200, 1e100, 1e100),    # hop scale / uplink scale 1e400 and 1e300
     (1e200, 1.0, 1e-200, 1e-100, 1e-250),  # and 1e-400 and 1e-300

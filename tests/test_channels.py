@@ -15,6 +15,7 @@ from oracles import (
 )
 from scipy.special import gammaincinv
 
+from relaylink.analysis import SystemConfig, phase1_outage, phase2_outage
 from relaylink.channels import (
     AlphaMuParams,
     GammaGammaParams,
@@ -148,6 +149,16 @@ def test_snr_cdf_limits_and_monotone():
         grid = np.geomspace(1e-4, 1e3, 120) * p.mean_snr
         vals = [alpha_mu_snr_cdf(p, g) for g in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def test_snr_cdf_capped_at_one():
+    # SciPy's gammainc(1e-160, 1e-160) is 1.0000000000000002; the CDF, a float
+    # or an array, and the phase outage built on it read at most 1
+    p = AlphaMuParams(1e-160, 1e-160, 10.0)
+    assert alpha_mu_snr_cdf(p, 1.0) == 1.0
+    assert alpha_mu_snr_cdf(p, np.array([0.0, 1.0, 1e300])).tolist() == [0.0, 1.0, 1.0]
+    c = SystemConfig(SchedulingSpec(3, 1, 10.0, 10.0), p, p, gamma_th=1.0)
+    assert phase1_outage(c) == 1.0 and phase2_outage(c) == 1.0
 
 
 def test_snr_cdf_derivative_matches_pdf():

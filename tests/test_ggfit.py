@@ -246,13 +246,25 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
     assert err.value.best.converged is False
 
 
-def test_nonconvergence_names_the_failed_check():
-    # at eta = beta = 1e154 the residual is solved (alpha 1/2, mu 2e154), but
-    # rho_bar's gamma ratio overflows: the message blames rho_bar alone
+def test_nonconvergence_names_the_failed_check(monkeypatch):
+    # the residual is solved, but rho_bar is not finite: the message blames rho_bar alone
+    monkeypatch.setattr(ggfit, "_rho_bar", lambda alpha, mu: math.inf)
     with pytest.raises(NonConvergenceError, match="rho_bar inf is not finite") as err:
-        fit_alpha_mu(GammaGammaParams(1e154, 1e154))
+        fit_alpha_mu(GammaGammaParams(21.5, 19.8))
     assert err.value.best.residual_norm <= ggfit.TOL
     assert "residual" not in str(err.value)
+
+
+@pytest.mark.parametrize("eta", [1e154, 1e156, 1e157])
+def test_rho_bar_where_mu_to_the_h_overflows(eta):
+    # mu ~ 2 eta, h = 1/alpha ~ 2: mu^h overflows, so rho_bar comes from the zeta
+    # series of log Gamma(mu + h) - log Gamma(mu) - h log mu, not from poch
+    fit = fit_alpha_mu(GammaGammaParams(eta, eta))
+    assert fit.converged and fit.residual_norm <= ggfit.TOL
+    with mpmath.workdps(250):
+        h, mu = 1 / mpmath.mpf(fit.alpha), mpmath.mpf(fit.mu)
+        exact = mpmath.exp(mpmath.loggamma(mu + h) - mpmath.loggamma(mu) - h * mpmath.log(mu))
+    assert abs(fit.rho_bar / exact - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("eta,beta", [(1.0, 1.0), (0.5, 0.3), (0.2, 5.0),

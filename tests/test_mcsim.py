@@ -532,6 +532,8 @@ def test_mc_config_validation():
         McConfig(trials=999)
     with pytest.raises(ValueError):
         McConfig(trials=1000, workers=0)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        McConfig(trials=1000, seed=-1)
 
 
 def test_estimate_metadata():

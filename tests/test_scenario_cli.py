@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import json
 import math
@@ -154,6 +155,7 @@ def test_invalid_values_reported():
                  id="modulation-b-1e-308"),
     pytest.param("trials = 50000", "trials = 10", "mc", id="mc-trials"),
     pytest.param("workers = 2", "workers = 0", "mc", id="mc-workers"),
+    pytest.param("seed = 42", "seed = -1", "mc", id="mc-seed"),
 ])
 def test_invalid_values_name_their_section(old, new, section, tmp_path, capsys):
     text = GOOD.replace(old, new)
@@ -173,14 +175,94 @@ def test_mc_batch_key_rejected(tmp_path, capsys):
     assert "unknown key 'batch' in section [mc]" in capsys.readouterr().err
 
 
+# GOOD as section -> key -> value, to drop, set or add one key at a time
+GOOD_FIELDS = {
+    "scheduling": {"k_total": "3", "n_order": "2", "gamma_th_db": "0"},
+    "uplink": {"mean_snr_db": "10"},
+    "downlink": {"mean_snr": "10"},
+    "sr_link": {"alpha": "2", "mu": "2", "mean_snr_db": "10"},
+    "rs_link": {"alpha": "2", "mu": "2", "mean_snr_db": "10"},
+    "modulation": {"a": "1", "b": "1"},
+    "mc": {"trials": "50000", "seed": "42", "workers": "2"},
+}
+
+
+def _ini(changes=()):
+    """GOOD with each (section, key): value of changes set, or dropped where None."""
+    fields = {section: dict(keys) for section, keys in GOOD_FIELDS.items()}
+    for (section, key), value in dict(changes).items():
+        fields[section].pop(key, None)
+        if value is not None:
+            fields[section][key] = value
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for section, keys in fields.items())
+
+
+def _without(section, key):
+    """The changes that drop key, in both forms: key and key_db."""
+    return {(section, key): None, (section, key + "_db"): None}
+
+
 def test_readme_key_table_lists_the_schema():
-    # the README's table of scenario keys names exactly the keys the parser takes
+    # the README's table of scenario keys names exactly the keys the parser takes:
+    # each of them, and no other key that serialize_scenario writes or its _db form
     table = {}
     for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
         row = re.fullmatch(r"\| `\[(\w+)\]` +\|(.*)\|", line)
         if row:
             table[row[1]] = set(re.findall(r"`(\w+)`", row[2]))
-    assert table == scenario._SCHEMA
+    written = configparser.ConfigParser()
+    written.read_string(serialize_scenario(parse_scenario(GOOD)))
+    assert set(table) == set(written.sections())
+
+    def accepted(section, key):
+        try:
+            parse_scenario(_ini({(section, key): "1"}))
+        except ScenarioError as exc:
+            return "unknown key" not in str(exc)
+        return True
+
+    for section, keys in table.items():
+        candidates = keys | {name for key in written[section] for name in (key, key + "_db")}
+        assert keys == {key for key in candidates if accepted(section, key)}, section
+
+
+# the format key by key, as listed here rather than read from the parser
+REQUIRED_KEYS = [("scheduling", "k_total"), ("scheduling", "n_order"),
+                 ("sr_link", "alpha"), ("sr_link", "mu"),
+                 ("rs_link", "alpha"), ("rs_link", "mu"), ("mc", "trials")]
+SNR_KEYS = [("scheduling", "gamma_th"), ("uplink", "mean_snr"), ("downlink", "mean_snr"),
+            ("sr_link", "mean_snr"), ("rs_link", "mean_snr")]
+INT_KEYS = [("scheduling", "k_total"), ("scheduling", "n_order"),
+            ("mc", "trials"), ("mc", "seed"), ("mc", "workers")]
+FLOAT_KEYS = [("sr_link", "alpha"), ("sr_link", "mu"), ("rs_link", "alpha"), ("rs_link", "mu"),
+              ("modulation", "a"), ("modulation", "b")]
+
+
+def _message(text):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("section,key", REQUIRED_KEYS + SNR_KEYS)
+def test_each_required_key_missing(section, key):
+    alt = f" (or {key}_db)" if (section, key) in SNR_KEYS else ""
+    assert _message(_ini(_without(section, key))) == f"[{section}]: missing {key}{alt}"
+
+
+@pytest.mark.parametrize("section,key", INT_KEYS + FLOAT_KEYS + SNR_KEYS
+                         + [(section, key + "_db") for section, key in SNR_KEYS])
+def test_each_key_rejects_a_word(section, key):
+    text = _ini({**_without(section, key.removesuffix("_db")), (section, key): "x"})
+    kind = "not an integer" if (section, key) in INT_KEYS else "not a number"
+    assert _message(text) == f"[{section}] {key}: {kind}"
+
+
+@pytest.mark.parametrize("section,key", SNR_KEYS)
+def test_each_snr_key_in_both_forms(section, key):
+    text = _ini({(section, key): "10", (section, key + "_db"): "10"})
+    assert _message(text) == f"[{section}]: give {key} or {key}_db, not both"
 
 
 # ------------------------------------------------------------------ CLI
