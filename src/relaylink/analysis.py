@@ -205,7 +205,6 @@ def _power_term(order, coef, log_coef, lam):
         power = math.inf
     value = coef * power
     return (value if _TINY <= power and math.isfinite(value) else 0.0 if not lam
-            else coef if lam == 1.0  # where order log lam would be inf * 0
             else _finite_or_inf(math.exp, log_coef + order * math.log(lam)))
 
 
@@ -275,39 +274,16 @@ def sweep(points, metric: str = "outage", mc=None):
     iterator that builds each row as it is read, with the exact outage and its
     asymptote for metric "outage", the ASEP by quadrature for "asep". mc, an
     optional McConfig, adds the Monte-Carlo column, computed in full by this
-    call, from as few passes as the points allow (`_mc_column`)."""
+    call in one grid call of mcsim, which decides which points share a pass."""
     if metric not in ("outage", "asep"):
         raise ValueError(f"metric must be 'outage' or 'asep', got {metric!r}")
+    from . import mcsim  # here, not at the top: mcsim imports this module
+    grid = mcsim.simulate_outage_grid if metric == "outage" else mcsim.simulate_asep_grid
     points = list(points)
-    column = [None] * len(points) if mc is None else _mc_column(points, metric, mc)
+    column = [None] * len(points) if mc is None else grid([c for _, c in points], mc)
     return (SweepRow(float(value), *((total_outage(c), asymptotic_outage(c))
                                      if metric == "outage" else (asep(c), None)), est)
             for (value, c), est in zip(points, column))
-
-
-def _mc_column(points, metric: str, mc) -> list[PerfEstimate]:
-    """The Monte-Carlo estimate of each point, equal bit for bit to a run of
-    its config alone. Outage points that share (K, N) share one pass; ASEP
-    points whose four link scales are equal share one pass at their
-    unit-scale config; any other ASEP point is a pass of its own config at scale 1."""
-    from . import mcsim  # here, not at the top: mcsim imports this module
-    groups = {}  # pass key -> [(index, config or scale)]
-    for i, (_, c) in enumerate(points):
-        if metric == "outage":
-            groups.setdefault((c.scheduling.k_total, c.scheduling.n_order), []).append((i, c))
-        elif (snr := c.scheduling.uplink_mean_snr) == c.scheduling.downlink_mean_snr \
-                == c.sr_model.mean_snr == c.rs_model.mean_snr:  # at unit scale, scale snr
-            groups.setdefault(at_snr_db(c, 0.0), []).append((i, snr))
-        else:
-            groups.setdefault(c, []).append((i, 1.0))
-    column = [None] * len(points)
-    for key, members in groups.items():
-        index, args = zip(*members)
-        estimates = (mcsim.simulate_outage_grid(args, mc) if metric == "outage"
-                     else mcsim.simulate_asep_grid(key, args, mc))
-        for i, est in zip(index, estimates):
-            column[i] = est
-    return column
 
 
 def db_to_linear(x_db: float) -> float:

@@ -57,8 +57,10 @@ class AlphaMuParams:
         if self.mu > 1e300:
             raise ValueError(f"mu must be at most 1e300, got {self.mu}")
         _store_floats(self, "alpha", "mu", "mean_snr")
-        if self.alpha * self.mu / 2.0 == 0.0:  # the order of the hop's high-SNR term
-            raise ValueError(f"alpha * mu / 2 underflows to 0.0 at ({self.alpha}, {self.mu})")
+        order = self.alpha * self.mu / 2.0  # the order of the hop's high-SNR term
+        if order in (0.0, math.inf):
+            fault = "overflows to inf" if order else "underflows to 0.0"
+            raise ValueError(f"alpha * mu / 2 {fault} at ({self.alpha}, {self.mu})")
 
 
 @dataclass(frozen=True)

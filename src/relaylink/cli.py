@@ -12,12 +12,12 @@ in as few passes as the points allow. A negative START is written
 --sweep-snr=-10:0:2, since argparse reads "-10:..." as an option.
 
 Exit codes: 0 success, 1 usage or scenario error (including a --sweep-snr grid
-that is empty, non-finite, over SWEEP_MAX_POINTS or has coinciding points, and
-a dB value too large for a float), 2 solver failure (a fit that does not
-converge), 3 self-check failure (Monte-Carlo, or a fit's KS distance over
-FIT_KS_LIMIT). The Monte-Carlo seed is --seed, else the
-RELAYLINK_SEED environment variable, else the scenario's [mc] seed, else a
-fixed default; fit ignores the first two.
+that is empty, non-finite, over SWEEP_MAX_POINTS or has coinciding points, a
+--k range over SWEEP_MAX_POINTS, and a dB value too large for a float), 2
+solver failure (a fit that does not converge), 3 self-check failure
+(Monte-Carlo, or a fit's KS distance over FIT_KS_LIMIT). The Monte-Carlo seed
+is --seed, else the RELAYLINK_SEED environment variable, else the scenario's
+[mc] seed, else a fixed default; fit ignores the first two.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_SELFCHECK = 3
 FIT_KS_LIMIT = 0.01
-SWEEP_MAX_POINTS = 1_000_000  # checked before the --sweep-snr grid is built
+SWEEP_MAX_POINTS = 1_000_000  # checked before a --sweep-snr grid or --k range is built
 
 _SELFCHECK_TAIL = float(ndtr(-5.0))
 
@@ -248,6 +248,8 @@ def _parse_k_range(spec: str):
         raise ScenarioError(f"--k expects A..B with integers, got {spec!r}") from exc
     if not 1 <= lo <= hi:
         raise ScenarioError(f"--k range must satisfy 1 <= A <= B, got {spec!r}")
+    if hi - lo + 1 > SWEEP_MAX_POINTS:
+        raise ScenarioError(f"--k has more than {SWEEP_MAX_POINTS:,} points: {spec!r}")
     return list(range(lo, hi + 1))
 
 

@@ -9,18 +9,23 @@ hop words (outage) or the two hops' Gamma draws (ASEP). Worker threads take
 whole blocks; each returns its partial sums, added in block order, so
 results are bit-identical for a given (seed, trials) whatever the number of
 workers.
+
+Both grids group their configs by what fixes a block's draws (`_passes`):
+the configs of a group share one draw of each block, and every estimate
+equals that of a run of its config alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
-from .analysis import PerfEstimate, SystemConfig
+from .analysis import PerfEstimate, SystemConfig, at_snr_db
 from .channels import alpha_mu_snr_cdf
 
 DEFAULT_SEED = 20240915
@@ -51,11 +56,11 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
 def _map_blocks(fn, mc: McConfig):
     """fn(i, size) for each block i of mc.trials, which holds its size =
     min(_CHUNK, trials - i·_CHUNK) trials, in block order, mapped over at
-    most mc.workers threads."""
+    most mc.workers threads, and no more than there are blocks or CPUs."""
     blocks = [(i, min(_CHUNK, mc.trials - a)) for i, a in enumerate(range(0, mc.trials, _CHUNK))]
     if mc.workers == 1:
         return [fn(*block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=min(mc.workers, len(blocks))) as pool:
+    with ThreadPoolExecutor(max_workers=min(mc.workers, len(blocks), os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, *zip(*blocks)))
 
 
@@ -71,35 +76,46 @@ def _word_limit(f):
     return np.uint64(2 ** 64 - 1 if f >= 1.0 else math.floor(f * 2.0 ** 53) << 11 | 0x7FF)
 
 
+def _passes(configs, key):
+    """The indices of configs grouped by key(c), which fixes a block's draws,
+    in order of first appearance: one group per pass over the blocks."""
+    groups = {}
+    for i, c in enumerate(configs):
+        groups.setdefault(key(c), []).append(i)
+    return list(groups.values())
+
+
 def simulate_outage(c: SystemConfig, mc: McConfig) -> PerfEstimate:
     """Empirical outage probability: `simulate_outage_grid` of c alone."""
     return simulate_outage_grid([c], mc)[0]
 
 
 def simulate_outage_grid(configs, mc: McConfig) -> list[PerfEstimate]:
-    """Empirical outage probability of each config, all from one draw.
+    """Empirical outage probability of each config.
 
     Uses the threshold-comparison form of inverse-transform sampling: a link,
     the N-th best uplink among them, is in outage exactly when its word
     (`_nth_best_words`) is at most the `_word_limit` of its CDF at the
-    threshold. The configs must share K and N, which alone fix those words,
-    so each block is drawn and selected once and compared once per config;
-    every estimate equals that of a run of its config alone.
+    threshold. K and N alone fix those words, so the configs that share
+    (K, N) share one pass: each block is drawn and selected once for them and
+    compared once per config.
     """
-    if len({(c.scheduling.k_total, c.scheduling.n_order) for c in configs}) > 1:
-        raise ValueError("the configs of one outage grid must share K and N")
     limits = [tuple(map(_word_limit, (
         -math.expm1(-c.gamma_th / c.scheduling.uplink_mean_snr),
         -math.expm1(-c.gamma_th / c.scheduling.downlink_mean_snr),
         alpha_mu_snr_cdf(c.sr_model, c.gamma_th),
         alpha_mu_snr_cdf(c.rs_model, c.gamma_th)))) for c in configs]
+    passes = _passes(configs, lambda c: (c.scheduling.k_total, c.scheduling.n_order))
 
     def block(i, size):
-        w_nth, w_dn, w_sr, w_rs = _nth_best_words(configs[0], rng_stream(mc.seed, i), size)
-        hits = np.zeros(len(limits), np.int64)
-        for j, (l_nth, l_dn, l_sr, l_rs) in enumerate(limits):
-            hits[j] = np.count_nonzero(
-                (w_nth <= l_nth) | (w_dn <= l_dn) | (w_sr <= l_sr) | (w_rs <= l_rs))
+        hits = np.zeros(len(configs), np.int64)
+        for group in passes:
+            w_nth, w_dn, w_sr, w_rs = _nth_best_words(configs[group[0]],
+                                                      rng_stream(mc.seed, i), size)
+            for j in group:
+                l_nth, l_dn, l_sr, l_rs = limits[j]
+                hits[j] = np.count_nonzero(
+                    (w_nth <= l_nth) | (w_dn <= l_dn) | (w_sr <= l_sr) | (w_rs <= l_rs))
         return hits
 
     hits = sum(_map_blocks(block, mc))
@@ -143,19 +159,27 @@ def _nth_best_words(c: SystemConfig, rng: np.random.Generator, size: int, hops=T
     return w_nth, *bits.random_raw((3 if hops else 1) * size).reshape(-1, size)
 
 
-def _end_to_end_snr(c: SystemConfig, rng: np.random.Generator, size: int):
-    """Per-trial end-to-end SNR of a block of `size` trials from its fresh
-    stream rng: the minimum of the N-th best uplink and the downlink, by
-    inverse transform from the words the outage kernel compares
-    (`_nth_best_words`, without the hop words), and of the two alpha-mu hops
-    (`_hop_snrs`), drawn from rng after those words."""
-    sched = c.scheduling
-    u_nth, u_dn = map(_to_uniforms, _nth_best_words(c, rng, size, hops=False))
-    m = np.minimum(-sched.uplink_mean_snr * np.log1p(-u_nth),
-                   -sched.downlink_mean_snr * np.log1p(-u_dn))
-    for g in _hop_snrs(c, rng, size):
-        np.minimum(m, g, out=m)
-    return m
+def _end_to_end_snr(configs, rng: np.random.Generator, size: int):
+    """Per-trial end-to-end SNR of each of configs, which share K and N and
+    the hop laws, yielded in turn in one buffer, for a block of `size` trials
+    from its fresh stream rng. The block is drawn once, at configs[0] with
+    its four scales 1: the N-th best uplink and downlink variates -log1p(-u)
+    from the words the outage kernel compares (`_nth_best_words`, without the
+    hop words), then the hops' (`_hop_snrs`). A link SNR is its scale times
+    its variate (both laws are scale families), so each config's minimum of
+    its four is, ufunc by ufunc, that of a run of that config alone."""
+    unit = at_snr_db(configs[0], 0.0)
+    variates = [np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+                for u in map(_to_uniforms, _nth_best_words(unit, rng, size, hops=False))]
+    variates += _hop_snrs(unit, rng, size)
+    m, link = np.empty(size), np.empty(size)
+    for c in configs:
+        scales = (c.scheduling.uplink_mean_snr, c.scheduling.downlink_mean_snr,
+                  c.sr_model.mean_snr, c.rs_model.mean_snr)
+        np.multiply(variates[0], scales[0], out=m)
+        for v, scale in zip(variates[1:], scales[1:]):
+            np.minimum(m, np.multiply(v, scale, out=link), out=m)
+        yield m
 
 
 def _hop_snrs(c: SystemConfig, rng: np.random.Generator, size: int):
@@ -174,38 +198,33 @@ def _snr_of_gamma(p, g):
 def simulate_asep(c: SystemConfig, mc: McConfig) -> PerfEstimate:
     """Empirical average symbol error probability: the mean of the
     conditional error (a/2) erfc(sqrt(b * gamma)) over end-to-end SNR draws;
-    `simulate_asep_grid` of c at scale 1."""
-    return simulate_asep_grid(c, [1.0], mc)[0]
+    `simulate_asep_grid` of c alone."""
+    return simulate_asep_grid([c], mc)[0]
 
 
-def simulate_asep_grid(c: SystemConfig, scales, mc: McConfig) -> list[PerfEstimate]:
-    """Empirical ASEP of c with all four link scales multiplied by s, for
-    each s of scales, all from one pass of `_end_to_end_snr` at c.
+def simulate_asep_grid(configs, mc: McConfig) -> list[PerfEstimate]:
+    """Empirical ASEP of each config.
 
-    Each link SNR is computed as its scale times a variate that depends on
-    the block's stream alone, a uniform or a Gamma(mu) draw (the alpha-mu law
-    is a scale family in its scale, and so is the exponential). When c's
-    four scales are 1, those variates are its link SNRs, and rounding is
-    monotone, so s times its end-to-end SNR (a minimum of link SNRs) is, bit
-    for bit, that of c with its scales set to s: the estimate for s equals
-    `simulate_asep` of that config. Each block computes its SNRs once,
-    writes the errors of each scale in turn into one block-sized buffer and
-    returns their pairwise `np.sum` and sum of squares; the estimate is the
-    `math.fsum` of those over all blocks.
+    K, N and the two hops' (alpha, mu) fix the variates of a block, so the
+    configs that share them share one pass of `_end_to_end_snr`, whatever
+    their scales and (a, b). Each block writes the errors of each config in
+    turn into the buffer it yields and returns their pairwise `np.sum` and
+    sum of squares; the estimate is the `math.fsum` of those over all blocks.
     """
-    a, b = c.mod_a, c.mod_b
+    passes = _passes(configs, lambda c: (c.scheduling.k_total, c.scheduling.n_order,
+                                         c.sr_model.alpha, c.sr_model.mu,
+                                         c.rs_model.alpha, c.rs_model.mu))
 
     def block(i, size):
-        g = _end_to_end_snr(c, rng_stream(mc.seed, i), size)
-        pe = np.empty_like(g)  # the errors of each scale in turn, as g serves them all
-        sums = []
-        for s in scales:  # (a/2) erfc(sqrt(b·s·g)), ufunc by ufunc
-            np.multiply(g, s, out=pe)
-            np.multiply(pe, b, out=pe)
-            np.sqrt(pe, out=pe)
-            erfc(pe, out=pe)
-            np.multiply(pe, 0.5 * a, out=pe)
-            sums.append((float(np.sum(pe)), float(np.sum(np.square(pe, out=pe)))))
+        sums = [None] * len(configs)
+        for group in passes:
+            snrs = _end_to_end_snr([configs[j] for j in group], rng_stream(mc.seed, i), size)
+            for j, pe in zip(group, snrs):  # (a/2) erfc(sqrt(b·g)), ufunc by ufunc
+                np.multiply(pe, configs[j].mod_b, out=pe)
+                np.sqrt(pe, out=pe)
+                erfc(pe, out=pe)
+                np.multiply(pe, 0.5 * configs[j].mod_a, out=pe)
+                sums[j] = float(np.sum(pe)), float(np.sum(np.square(pe, out=pe)))
         return sums
 
     per_block = _map_blocks(block, mc)

@@ -425,14 +425,18 @@ def test_asymptotic_threshold_underflowing_to_zero():
 
 
 def test_asymptotic_infinite_order_at_unit_threshold_ratio():
-    # alpha mu / 2 = 5e309 overflows to inf and the hop's coefficient is inf; at
-    # gamma_th / scale = 1, lam^order = 1, so the term is its coefficient, not
-    # exp(log_coef + inf * log 1) = nan, and the asymptote reads 1
-    hop = AlphaMuParams(1e10, 1e300, 1.0)
+    # alpha mu / 2 = 5e309 overflows to inf, where exp(log_coef + inf * log 1)
+    # and abs(inf - inf) are nan: the hop is refused. At the largest orders it
+    # accepts, about 8.5e307, the asymptote at gamma_th / scale = 1 reads 1 and
+    # the T2 gain is finite
+    with pytest.raises(ValueError, match="overflows to inf"):
+        AlphaMuParams(1e10, 1e300, 1.0)
+    hop = AlphaMuParams(1.7e8, 1e300, 1.0)
     for rs in (hop, AlphaMuParams(2.0, 2.0, 1.0)):
         c = SystemConfig(SchedulingSpec(3, 1, 1.0, 1.0), hop, rs, gamma_th=1.0)
         assert asymptotic_outage(c).value == 1.0
         assert next(sweep([(0.0, c)])).asymptotic.value == 1.0
+        assert math.isfinite(classify_asymptotics(c).coding_gain_terms["T2"])
 
 
 @pytest.mark.parametrize("up,down,sr,rs,gamma_th", [
@@ -673,8 +677,9 @@ MIXED_K = list(enumerate([
     config(k=1, n=1, alpha=2.0, mu=2.0, snr=100.0),
     scaled(_UNEQUAL_HOPS, 8.0, 8.0, 1.5, 8.0),
 ]))
-# ASEP points of two unit-scale configs at equal scales, interleaved with
-# points of each at unequal scales
+# ASEP points of two hop-law pairs at the same K and N, at equal scales,
+# interleaved with points of each at unequal scales, the last two also at
+# other (a, b)
 MIXED_SCALES = list(enumerate([
     analysis.at_snr_db(_NAKAGAMI, 0.0),
     analysis.at_snr_db(_UNEQUAL_HOPS, 10.0),
@@ -683,6 +688,8 @@ MIXED_SCALES = list(enumerate([
     analysis.at_snr_db(_UNEQUAL_HOPS, -2.0),
     scaled(_UNEQUAL_HOPS, 1.0, 2.0, 3.0, 4.0),
     _NAKAGAMI,
+    dataclasses.replace(scaled(_UNEQUAL_HOPS, 0.2, 40.0, 2.5, 1e-3), mod_a=2.0, mod_b=0.5),
+    dataclasses.replace(scaled(_NAKAGAMI, 60.0, 0.7, 1e4, 9.0), mod_a=0.5, mod_b=0.1),
 ]))
 SWEEP_GRIDS = [
     # unequal hop laws (one with alpha*mu < 2), 1 < N < K, and negative,
@@ -706,13 +713,14 @@ SWEEP_GRIDS = [
 @pytest.mark.parametrize("base,variable,grid", SWEEP_GRIDS)
 def test_sweep_mc_equals_per_point_bit_for_bit(base, variable, grid, metric, monkeypatch):
     from relaylink import mcsim
-    simulate = mcsim.simulate_outage if metric == "outage" else mcsim.simulate_asep
+    simulate, simulate_grid = (
+        (mcsim.simulate_outage, mcsim.simulate_outage_grid) if metric == "outage"
+        else (mcsim.simulate_asep, mcsim.simulate_asep_grid))
     pts = grid if base is None else points(base, variable, grid)
     for trials, chunk, workers in SWEEP_MC:
         monkeypatch.setattr(mcsim, "_CHUNK", chunk)
         mc = mcsim.McConfig(trials=trials, seed=41, workers=workers)
-        assert (analysis._mc_column(pts, metric, mc)
-                == [simulate(c, mc) for _, c in pts])
+        assert simulate_grid([c for _, c in pts], mc) == [simulate(c, mc) for _, c in pts]
     # whole rows
     expected = [dataclasses.replace(next(sweep([(v, c)], metric)), mc=simulate(c, mc))
                 for v, c in pts]
@@ -720,21 +728,35 @@ def test_sweep_mc_equals_per_point_bit_for_bit(base, variable, grid, metric, mon
 
 
 def test_sweep_mc_shares_passes(monkeypatch):
-    # one outage pass per (K, N), one ASEP pass per unit-scale config at
-    # equal scales, and one per config at unequal scales
+    # one outage pass per (K, N), one ASEP pass per (K, N, hop laws), each
+    # block drawn once per pass from a stream of its own: one block, so one
+    # stream a pass; and one grid call per sweep
     from relaylink import mcsim
-    sizes = []
+    sizes, streams, calls = [], [], []
+
+    def grouped(*args, _run=mcsim._passes):
+        passes = _run(*args)
+        sizes.extend(len(p) for p in passes)
+        return passes
+
+    def stream(*args, _run=mcsim.rng_stream):
+        streams.append(args)
+        return _run(*args)
+
+    monkeypatch.setattr(mcsim, "_passes", grouped)
+    monkeypatch.setattr(mcsim, "rng_stream", stream)
     for name in ("simulate_outage_grid", "simulate_asep_grid"):
-        def counted(*args, _run=getattr(mcsim, name)):
-            sizes.append(len(args[-2]))
-            return _run(*args)
+        def counted(configs, mc, _run=getattr(mcsim, name)):
+            calls.append(len(configs))
+            return _run(configs, mc)
         monkeypatch.setattr(mcsim, name, counted)
     mc = mcsim.McConfig(trials=1_000, seed=2)
-    analysis._mc_column(MIXED_K, "outage", mc)
-    assert sorted(sizes) == [1, 1, 2, 2]
-    sizes.clear()
-    analysis._mc_column(MIXED_SCALES, "asep", mc)
-    assert sorted(sizes) == [1, 1, 2, 3]
+    sweep(MIXED_K, "outage", mc)  # the Monte-Carlo column, without reading a row
+    assert (sorted(sizes), streams, calls) == ([1, 1, 2, 2], [(2, 0)] * 4, [6])
+    for log in (sizes, streams, calls):
+        log.clear()
+    sweep(MIXED_SCALES, "asep", mc)
+    assert (sorted(sizes), streams, calls) == ([4, 5], [(2, 0)] * 2, [9])
 
 
 def test_sweep_takes_any_iterable_grid():

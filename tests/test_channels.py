@@ -363,11 +363,15 @@ def test_fading_model_invariants():
     for mu in (2.6e305, 1.7e308):
         with pytest.raises(ValueError, match="mu must be at most 1e300"):
             AlphaMuParams(2.0, mu, 1.0)
-    # the order alpha mu / 2 of the hop's high-SNR term must not underflow to 0,
-    # nor must an order that overflows be refused
-    with pytest.raises(ValueError, match=r"^alpha \* mu / 2 underflows to 0.0"):
+    # the order alpha mu / 2 of the hop's high-SNR term must neither underflow
+    # to 0 nor overflow to inf, each refused with its own message
+    with pytest.raises(ValueError, match=r"^alpha \* mu / 2 underflows to 0.0 at "
+                                         r"\(1e-200, 1e-200\)$"):
         AlphaMuParams(1e-200, 1e-200, 10.0)
-    assert AlphaMuParams(1e10, 1e300, 1.0).alpha == 1e10
+    with pytest.raises(ValueError, match=r"^alpha \* mu / 2 overflows to inf at "
+                                         r"\(10000000000.0, 1e\+300\)$"):
+        AlphaMuParams(1e10, 1e300, 1.0)
+    assert AlphaMuParams(1.7e8, 1e300, 1.0).alpha == 1.7e8  # order 8.5e307
     for bad in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="finite and positive"):
             GammaGammaParams(*bad)

@@ -4,14 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import (blocks, end_to_end_snr_full, end_to_end_snr_inverse,
                      simulate_asep_blocks, simulate_outage_blocks)
 from scipy.special import gammainc
 from scipy.stats import ks_2samp, kstest
 
-from relaylink import mcsim
+from relaylink import cli, mcsim
 from relaylink.analysis import SystemConfig, asep, at_snr_db, sweep, total_outage
 from relaylink.channels import AlphaMuParams, GammaGammaParams, alpha_mu_snr_cdf
 from relaylink.ggfit import fit_alpha_mu
@@ -272,7 +272,7 @@ def test_end_to_end_snr_equals_full_construction(k, n, sr, rs, snr_db):
                      sr_model=AlphaMuParams(*sr, 2.0 * snr),
                      rs_model=AlphaMuParams(*rs, snr), gamma_th=1.0)
     for sid, size in [(0, 25_000), (1, 15_000)]:  # blocks of two streams
-        fast = mcsim._end_to_end_snr(c, rng_stream(31, sid), size)
+        (fast,) = mcsim._end_to_end_snr([c], rng_stream(31, sid), size)
         full = end_to_end_snr_full(c, rng_stream(31, sid), size)
         assert np.array_equal(fast, full)
 
@@ -286,30 +286,35 @@ def test_end_to_end_snr_equals_full_construction_at_extreme_scales(sr_scale, rs_
                      sr_model=AlphaMuParams(*VERY_WEAK, sr_scale * snr),
                      rs_model=AlphaMuParams(*VERY_WEAK, rs_scale * snr), gamma_th=1.0)
     for sid, size in [(0, 25_000), (1, 15_000)]:
-        fast = mcsim._end_to_end_snr(c, rng_stream(31, sid), size)
+        (fast,) = mcsim._end_to_end_snr([c], rng_stream(31, sid), size)
         full = end_to_end_snr_full(c, rng_stream(31, sid), size)
         assert np.array_equal(fast, full)
 
 
 HOP_LAWS = st.tuples(st.floats(0.3, 8.0), st.floats(0.3, 60.0))
+LINK_DB = st.one_of(st.floats(-30.0, 60.0), st.sampled_from([-30.0, 60.0]))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(k=st.integers(1, 12), data=st.data(), sr=HOP_LAWS, rs=HOP_LAWS,
-       snr_db=st.one_of(st.floats(-30.0, 60.0), st.sampled_from([-30.0, 60.0])),
+       dbs=st.lists(st.tuples(LINK_DB, LINK_DB, LINK_DB, LINK_DB), min_size=1, max_size=4),
        seed=st.integers(0, 2**32 - 1))
-def test_end_to_end_snr_scales_with_the_link_scales(k, data, sr, rs, snr_db, seed):
-    # the property the ASEP grid rests on: with all four scales at s, the
-    # end-to-end SNR is s times its value at scales 1, element by element
+def test_end_to_end_snr_scales_with_the_link_scales(k, data, sr, rs, dbs, seed):
+    # the property the ASEP pass rests on: configs that share K, N and the hop
+    # laws, each at four link scales of its own, take from one draw of a block
+    # the end-to-end SNRs of a run of each alone, and of the full construction,
+    # element by element
     n = data.draw(st.integers(1, k))
-    unit = SystemConfig(scheduling=SchedulingSpec(k, n, 1.0, 1.0),
-                        sr_model=AlphaMuParams(*sr, 1.0),
-                        rs_model=AlphaMuParams(*rs, 1.0), gamma_th=1.0)
-    scaled = at_snr_db(unit, snr_db)
-    s = scaled.sr_model.mean_snr
-    g1 = mcsim._end_to_end_snr(unit, rng_stream(seed, 0), 3_001)
-    assert np.array_equal(mcsim._end_to_end_snr(scaled, rng_stream(seed, 0), 3_001),
-                          s * g1)
+    configs = [SystemConfig(scheduling=SchedulingSpec(k, n, *scales[:2]),
+                            sr_model=AlphaMuParams(*sr, scales[2]),
+                            rs_model=AlphaMuParams(*rs, scales[3]), gamma_th=1.0)
+               for scales in (10.0 ** (np.array(four) / 10.0) for four in dbs)]
+    shared = [g.copy() for g in mcsim._end_to_end_snr(configs, rng_stream(seed, 0), 3_001)]
+    assert len(shared) == len(configs)
+    for c, g in zip(configs, shared):
+        (alone,) = mcsim._end_to_end_snr([c], rng_stream(seed, 0), 3_001)
+        assert np.array_equal(g, alone)
+        assert np.array_equal(g, end_to_end_snr_full(c, rng_stream(seed, 0), 3_001))
 
 
 # 30 (alpha, mu) pairs, from deep fades (0.3, 0.3) to near-deterministic hops
@@ -332,7 +337,7 @@ def test_alpha_mu_gate_never_skips_a_lower_hop():
         c = SystemConfig(scheduling=SchedulingSpec(3, 2, 1e300, 1e300),
                          sr_model=AlphaMuParams(alpha, mu, 3.7),
                          rs_model=AlphaMuParams(alpha, mu, 0.5), gamma_th=1.0)
-        g = mcsim._end_to_end_snr(c, rng_stream(13, 1), 3_000)
+        (g,) = mcsim._end_to_end_snr([c], rng_stream(13, 1), 3_000)
         g_sr, g_rs = block_hops(c, rng_stream(13, 1), 3_000)
         assert np.array_equal(g, np.minimum(g_sr, g_rs))
 
@@ -348,7 +353,7 @@ def test_hop_floor_gate_at_table_points(alpha, mu, scale):
                      sr_model=AlphaMuParams(alpha, mu, scale),
                      rs_model=AlphaMuParams(alpha, mu, scale), gamma_th=1.0)
     size = 4_000
-    g = mcsim._end_to_end_snr(c, rng_stream(17, 0), size)
+    (g,) = mcsim._end_to_end_snr([c], rng_stream(17, 0), size)
     assert np.array_equal(g, end_to_end_snr_full(c, rng_stream(17, 0), size))
     g_sr, g_rs = block_hops(c, rng_stream(17, 0), size)
     assert np.all((g <= g_sr) & (g <= g_rs) & (g >= 0.0))
@@ -380,6 +385,30 @@ def test_asep_matches_quadrature_at_qpsk_weights(hop):
     c = dataclasses.replace(c, mod_a=2.0, mod_b=0.5)
     est = simulate_asep(c, McConfig(trials=200_000, seed=2026, workers=2))
     assert abs(est.value - asep(c).value) < 5.0 * est.std_error
+
+
+ITEM_HOPS = st.tuples(st.floats(0.2, 20.0), st.floats(0.1, 31.6))
+
+
+@seed(20261022)
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(k=st.integers(1, 59), data=st.data(), sr=ITEM_HOPS, rs=ITEM_HOPS,
+       dbs=st.tuples(*[st.floats(-20.0, 30.0)] * 4), gamma_th=st.floats(0.1, 10.0),
+       a=st.sampled_from([1.0, 2.0]), b=st.sampled_from([1.0, 0.5, 0.1]),
+       mc_seed=st.integers(0, 2**32 - 1))
+def test_mc_agrees_with_analytic_on_random_configs(k, data, sr, rs, dbs, gamma_th, a, b,
+                                                   mc_seed):
+    # random configs over the ranges the API is used at, each link at a scale
+    # of its own: the outage estimate passes the CLI's binomial tail test and
+    # the ASEP estimate lies within 5 standard errors of the quadrature
+    up, dn, s_sr, s_rs = (10.0 ** (db / 10.0) for db in dbs)
+    c = SystemConfig(scheduling=SchedulingSpec(k, data.draw(st.integers(1, k)), up, dn),
+                     sr_model=AlphaMuParams(*sr, s_sr), rs_model=AlphaMuParams(*rs, s_rs),
+                     gamma_th=gamma_th, mod_a=a, mod_b=b)
+    mc = McConfig(trials=200_000, seed=mc_seed, workers=2)
+    for metric in ("outage", "asep"):
+        row = next(sweep([(0.0, c)], metric, mc))
+        assert cli._selfcheck_failure(row) is None, (metric, c, mc_seed)
 
 
 # ------------------------------------------------------------ blocks
@@ -520,11 +549,42 @@ def test_block_working_set_does_not_grow_with_k(simulate):
 # ----------------------------------------------------------- validation
 
 def test_outage_grid_configs_share_k_and_n():
-    # one draw and one N-th best selection serve the whole grid
-    m = McConfig(trials=1_000)
-    for other in (unequal_hops(4, 1), unequal_hops(3, 2)):
-        with pytest.raises(ValueError, match="share K and N"):
-            mcsim.simulate_outage_grid([unequal_hops(4, 2), other], m)
+    # configs of three (K, N) pairs, interleaved, at other thresholds and
+    # scales: the grid gives each the estimate of a run of its config alone
+    configs = [unequal_hops(4, 2), unequal_hops(4, 1), unequal_hops(3, 2),
+               dataclasses.replace(unequal_hops(4, 2), gamma_th=2.5),
+               at_snr_db(unequal_hops(4, 1), 7.0)]
+    for workers in (1, 2):
+        m = McConfig(trials=70_001, seed=8, workers=workers)
+        assert mcsim.simulate_outage_grid(configs, m) == [simulate_outage(c, m) for c in configs]
+
+
+def test_thread_pool_bounded_by_blocks_and_cpus(monkeypatch):
+    # the pool is no larger than the workers asked for, the blocks or the CPUs
+    # (1 where their number is unknown); the estimates do not depend on it.
+    # The recorded pools run their blocks in this thread
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(mcsim, "ThreadPoolExecutor", Pool)
+    for cpus, trials, workers, expect in [(2, 10**9, 20_000, 2), (None, 10**9, 20_000, 1),
+                                          (8, 140_003, 20, 3), (8, 140_003, 2, 2),
+                                          (3, 10**6, 20, 3)]:
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda cpus=cpus: cpus)
+        layout = mcsim._map_blocks(lambda i, size: size, McConfig(trials=trials, workers=workers))
+        assert sum(layout) == trials and sizes.pop() == expect
 
 
 def test_mc_config_validation():

@@ -617,9 +617,9 @@ def test_cli_asep_tripwire_exit_3(scenario_file, tmp_path, monkeypatch, capsys,
                                   sweep, dbs_z):
     # a wrong ASEP estimate, on a sweep and at the single scenario point: one
     # line names each failing point with its z-score
-    def wrong_estimates(c, scales, m):
+    def wrong_estimates(configs, m):
         return [PerfEstimate(0.4, method="monte_carlo", std_error=1e-6,
-                             trials=m.trials) for _ in scales]
+                             trials=m.trials) for _ in configs]
     monkeypatch.setattr(mcsim, "simulate_asep_grid", wrong_estimates)
     code = cli.main(["asep", scenario_file, *sweep, "--mc", "20000",
                      "--out", str(tmp_path / "x.csv")])
@@ -673,6 +673,22 @@ def test_cli_ksweep_n_equals_k_degrades(scenario_file, tmp_path):
     vals = [float(r.split(",")[1]) for r in lines]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     assert lines == [_ksweep_row(scenario_file, k, k) for k in range(1, 7)]
+
+
+def test_cli_ksweep_point_limit(scenario_file, tmp_path, monkeypatch, capsys):
+    # the K count is checked before the range is built: 1e12 values exit 1 at
+    # once, naming the range, where the list would not fit in memory
+    out = tmp_path / "k.csv"
+    assert cli.main(["ksweep", scenario_file, "--k", "1..1000000000000",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "relaylink ksweep: error: --k has more than 1,000,000 points: '1..1000000000000'\n")
+    assert not out.exists()
+    # both sides of the limit, at a small one
+    monkeypatch.setattr(cli, "SWEEP_MAX_POINTS", 5)
+    assert cli._parse_k_range("2..6") == [2, 3, 4, 5, 6]
+    with pytest.raises(ScenarioError, match="more than 5 points"):
+        cli._parse_k_range("2..7")
 
 
 def test_cli_ksweep_rejects_k_below_n(scenario_file, tmp_path):
